@@ -47,6 +47,10 @@ class ConvergenceRecord:
     eoc_h1_velocity: float | None = None
     eoc_l2_pressure: float | None = None
     delta_h: float | None = None
+    # the level's LinearSolveReport; the residual is the absolute 2-norm
+    solver_method: str | None = None
+    solver_iterations: int | None = None
+    solver_residual: float | None = None
 
 
 def _corner_cells(mesh: Mesh):

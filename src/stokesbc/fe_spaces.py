@@ -14,6 +14,7 @@ later through a multiplier row, not by constraining the basis).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -75,12 +76,14 @@ class QuadratureRule:
     degree: int
 
 
+@lru_cache(maxsize=MAX_QUAD_DEGREE)
 def quadrature(degree: int) -> QuadratureRule:
     """Positive-weight rule exact to the requested total degree (1..20).
 
     Degree 1 is the centroid rule and degree 2 the classic symmetric 3-point
     rule; higher degrees use the collapsed Gauss-Legendre x Gauss-Jacobi
-    product, whose weights are positive for every degree.
+    product, whose weights are positive for every degree.  Rules are cached
+    per degree; their arrays are read-only, so callers can share them.
     """
     if not 1 <= degree <= MAX_QUAD_DEGREE:
         raise ValueError(f"quadrature degree {degree} not in [1, {MAX_QUAD_DEGREE}]")

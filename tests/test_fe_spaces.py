@@ -157,3 +157,10 @@ def test_edge_trace_span(pairing, max_exact):
 def test_pairing_orders():
     assert TAYLOR_HOOD.velocity_order == 2
     assert MINI.velocity_order == 1
+
+
+def test_quadrature_cached_and_read_only():
+    rule = quadrature(7)
+    assert quadrature(7) is rule
+    assert not rule.points.flags.writeable
+    assert not rule.weights.flags.writeable

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from stokesbc.assembly import assemble_bordered_system
+from stokesbc.cli import StudyConfig, main, run_convergence
 from stokesbc.fe_spaces import MINI, TAYLOR_HOOD, build_dofmap
 from stokesbc.mesh import build_domain, refine_uniform, unit_square
-from stokesbc.solver import SolveError, solve, solve_linear
+from stokesbc.solver import SOLVE_METHODS, SolveError, solve, solve_linear
 
 
 def test_two_by_two():
@@ -87,16 +89,60 @@ def test_bordered_system_nonsingular(pairing, domain_id):
     assert report.residual_norm <= 1e-10 * np.linalg.norm(system.rhs())
 
 
-def test_minres_agrees_with_direct():
-    system = stokes_system(refinements=1)
-    sol_direct, _ = solve(system)
-    sol_minres, report = solve(system, tol=1e-9, method="minres_uzawa")
-    assert report.method == "minres_uzawa"
+@pytest.mark.parametrize("alpha_reg", [0.0, 1.0])
+@pytest.mark.parametrize("pairing", [TAYLOR_HOOD, MINI])
+@pytest.mark.parametrize("domain_id", ["convex", "nonconvex"])
+def test_block_minres_agrees_with_direct(pairing, domain_id, alpha_reg):
+    mesh = refine_uniform(refine_uniform(build_domain(domain_id)))
+    dm = build_dofmap(mesh, pairing)
+    rng = np.random.default_rng(47)
+    trace = rng.standard_normal((dm.n_boundary_dofs, 2))
+    system = assemble_bordered_system(mesh, dm, trace, alpha_reg=alpha_reg)
+    sol_direct, _ = solve(system, method="direct_factorization")
+    sol_minres, report = solve(system)
+    assert report.method == "block_minres"
     assert report.iterations > 0
-    scale = np.abs(sol_direct.velocity).max()
+    assert report.residual_norm <= 1e-10 * np.linalg.norm(system.rhs())
+    scale = max(np.abs(sol_direct.velocity).max(),
+                np.abs(sol_direct.pressure).max())
     assert np.abs(sol_direct.velocity - sol_minres.velocity).max() \
-        < 1e-6 * scale
-    assert sol_direct.delta_h == pytest.approx(sol_minres.delta_h, abs=1e-9)
+        < 1e-9 * scale
+    assert np.abs(sol_direct.pressure - sol_minres.pressure).max() \
+        < 1e-9 * scale
+    assert sol_direct.delta_h == pytest.approx(sol_minres.delta_h, abs=1e-10)
+
+
+def test_block_minres_iterations_mesh_independent():
+    records = run_convergence(StudyConfig(domain="nonconvex", alpha_sing=0.5,
+                                          levels=4))
+    iterations = [r.solver_iterations for r in records]
+    assert all(r.solver_method == "block_minres" for r in records)
+    assert max(iterations) <= 100
+    assert iterations[3] <= 1.1 * iterations[2]
+
+
+def test_block_minres_needs_preconditioner():
+    with pytest.raises(ValueError):
+        solve_linear(sp.eye(2).tocsr(), np.ones(2), method="block_minres")
+
+
+@pytest.mark.parametrize("error", [SystemError, MemoryError])
+@pytest.mark.parametrize("method", SOLVE_METHODS)
+def test_factorization_out_of_memory_is_solve_error(monkeypatch, capsys,
+                                                    method, error):
+    # SuperLU reports exhausted memory as SystemError from gstrf
+    system = stokes_system()
+
+    def out_of_memory(*args, **kwargs):
+        raise error("gstrf was called with invalid arguments")
+
+    monkeypatch.setattr(spla, "splu", out_of_memory)
+    with pytest.raises(SolveError):
+        solve(system, method=method)
+    # the weighted-average projector needs no factorisation of its own
+    assert main(["convergence", "--levels", "2", "--projector", "carstensen",
+                 "--solver", method]) == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_unknown_method_rejected():
