@@ -167,6 +167,16 @@ class BorderedSystem:
     def n_interior(self) -> int:
         return self.A.shape[0]
 
+    @property
+    def scalar_stiffness(self) -> sp.csc_matrix:
+        """Interior scalar stiffness ``K``; the velocity block is diag(K, K).
+
+        The interior velocity unknowns are component-major (see ``unpack``)
+        and the components do not couple, so ``A`` holds two copies of ``K``.
+        """
+        half = self.n_interior // 2
+        return sp.csc_matrix(self.A[:half, :half])
+
     def matrix(self) -> sp.csr_matrix:
         top = sp.coo_matrix(([self.alpha_reg], ([0], [0])), shape=(1, 1))
         srow = sp.csr_matrix(self.s[None, :])

@@ -29,7 +29,7 @@ from .errors import (ConvergenceRecord, eoc, expected_order,
 from .fe_spaces import build_dofmap, pairing_from_name
 from .manufactured import SingularSolution
 from .mesh import build_domain, refine_uniform, unit_square
-from .solver import SOLVE_METHODS, SolveError, solve
+from .solver import SolveError, solve
 
 __all__ = [
     "StudyConfig",
@@ -65,7 +65,6 @@ class StudyConfig:
     quad_degree: int = 10
     alpha_reg: float = 1.0
     output: str = "markdown"
-    solver: str = "block_minres"
 
     def validate(self) -> None:
         if self.domain not in DOMAIN_ANGLES:
@@ -87,8 +86,6 @@ class StudyConfig:
             raise ConfigError("alpha-reg must be nonnegative")
         if self.output not in ("csv", "markdown"):
             raise ConfigError(f"unknown output format {self.output!r}")
-        if self.solver not in SOLVE_METHODS:
-            raise ConfigError(f"unknown solver {self.solver!r}")
         if self.projector == "lagrange" and self.alpha_sing <= 0:
             raise ConfigError("lagrange projector needs alpha > 0 (datum "
                               "must be continuous at the boundary nodes)")
@@ -120,14 +117,13 @@ def run_convergence(config: StudyConfig) -> list[ConvergenceRecord]:
         u_h = approximate_datum(config, datum, mesh, dofmap)
         system = assemble_bordered_system(mesh, dofmap, u_h,
                                           alpha_reg=config.alpha_reg)
-        y_h, report = solve(system, method=config.solver)
+        y_h, report = solve(system)
         rec = ConvergenceRecord(
             level=level, h=mesh.h,
             n_dofs=2 * dofmap.n_scalar_velocity + dofmap.n_pressure + 1,
             err_l2_velocity=l2_velocity_error(
                 y_h, sol, mesh, dofmap, quad_degree=config.quad_degree),
             delta_h=compute_delta_h(u_h, mesh, dofmap),
-            solver_method=report.method,
             solver_iterations=report.iterations,
             solver_residual=report.residual_norm)
         if with_h1:
@@ -298,10 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--quad-degree", type=int, dest="quad_degree")
     conv.add_argument("--alpha-reg", type=float, dest="alpha_reg")
     conv.add_argument("--output", choices=("csv", "markdown"))
-    # no argparse choices: an unknown name fails validate() with exit code 1
-    conv.add_argument("--solver", metavar="{" + ",".join(SOLVE_METHODS) + "}",
-                      help="linear solver (default block_minres; "
-                           "direct_factorization is the sparse-LU reference)")
     conv.add_argument("--out", help="write the table to a file")
     ce = sub.add_parser("counterexample",
                         help="run the boundary-flux counterexample")

@@ -47,8 +47,7 @@ class ConvergenceRecord:
     eoc_h1_velocity: float | None = None
     eoc_l2_pressure: float | None = None
     delta_h: float | None = None
-    # the level's LinearSolveReport; the residual is the absolute 2-norm
-    solver_method: str | None = None
+    # from the level's LinearSolveReport; the residual is the absolute 2-norm
     solver_iterations: int | None = None
     solver_residual: float | None = None
 

@@ -19,11 +19,9 @@ import scipy.sparse.linalg as spla
 
 from .assembly import BorderedSystem, DiscreteSolution
 
-__all__ = ["LinearSolveReport", "SOLVE_METHODS", "SolveError", "solve",
-           "solve_linear"]
+__all__ = ["LinearSolveReport", "SolveError", "solve", "solve_linear"]
 
 DEFAULT_TOL = 1e-10
-SOLVE_METHODS = ("block_minres", "direct_factorization")
 MINRES_MAXITER = 1000
 MINRES_RESTARTS = 3
 # SuperLU reports running out of memory as SystemError ("gstrf was called
@@ -119,12 +117,12 @@ class _IterationCounter:
 def _block_preconditioner(system: BorderedSystem) -> spla.LinearOperator:
     """SPD operator ``diag(max(alpha, 1), A^{-1}, diag(s)^{-1})``.
 
-    ``A`` holds two identical copies of the interior scalar stiffness matrix
-    (the velocity unknowns are component-major), so only the scalar half is
-    factorised and both components are solved as one two-column system.
+    ``A`` is ``block_diag(K, K)`` for the interior scalar stiffness ``K``
+    (``BorderedSystem.scalar_stiffness``), so only ``K`` is factorised and
+    both velocity components are solved as one two-column system.
     """
-    half = system.n_interior // 2
-    scalar = sp.csc_matrix(system.A[:half, :half])
+    scalar = system.scalar_stiffness
+    half = scalar.shape[0]
     try:
         lu = spla.splu(scalar, permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0, options={"SymmetricMode": True})

@@ -25,7 +25,6 @@ def test_counterexample_values():
     (dict(alpha_reg=-1.0), "alpha-reg"),
     (dict(output="json"), "output"),
     (dict(projector="lagrange", alpha_sing=-0.1), "lagrange"),
-    (dict(solver="gmres"), "solver"),
 ])
 def test_config_validation_messages(kwargs, fragment):
     config = StudyConfig(**kwargs)
@@ -151,29 +150,8 @@ def test_config_file_unknown_key(tmp_path):
 def test_records_carry_solver_report():
     records = run_convergence(StudyConfig(domain="convex", levels=2))
     for r in records:
-        assert r.solver_method == "block_minres"
         assert r.solver_iterations > 0
         assert 0.0 <= r.solver_residual < 1e-8
-
-
-def test_solver_flag_and_config_key(tmp_path, capsys):
-    outs = {}
-    for method in ("block_minres", "direct_factorization"):
-        outs[method] = tmp_path / f"{method}.csv"
-        assert main(["convergence", "--domain", "convex", "--levels", "2",
-                     "--output", "csv", "--solver", method,
-                     "--out", str(outs[method])]) == 0
-    a, b = (p.read_text().splitlines() for p in outs.values())
-    assert a[0] == b[0] and len(a) == len(b)
-    for row_a, row_b in zip(a[1:], b[1:]):
-        for x, y in zip(row_a.split(","), row_b.split(",")):
-            if x and x != "expected":
-                assert float(x) == pytest.approx(float(y), rel=1e-6)
-    cfg = tmp_path / "study.cfg"
-    cfg.write_text("solver = gmres\nlevels = 2\n")
-    assert main(["convergence", "--config", str(cfg)]) == 1
-    assert "solver" in capsys.readouterr().err
-    assert main(["convergence", "--levels", "2", "--solver", "lu"]) == 1
 
 
 def test_cli_output_deterministic(tmp_path):

@@ -7,7 +7,7 @@ from stokesbc.assembly import assemble_bordered_system
 from stokesbc.cli import StudyConfig, main, run_convergence
 from stokesbc.fe_spaces import MINI, TAYLOR_HOOD, build_dofmap
 from stokesbc.mesh import build_domain, refine_uniform, unit_square
-from stokesbc.solver import SOLVE_METHODS, SolveError, solve, solve_linear
+from stokesbc.solver import SolveError, solve, solve_linear
 
 
 def test_two_by_two():
@@ -116,7 +116,6 @@ def test_block_minres_iterations_mesh_independent():
     records = run_convergence(StudyConfig(domain="nonconvex", alpha_sing=0.5,
                                           levels=4))
     iterations = [r.solver_iterations for r in records]
-    assert all(r.solver_method == "block_minres" for r in records)
     assert max(iterations) <= 100
     assert iterations[3] <= 1.1 * iterations[2]
 
@@ -127,9 +126,9 @@ def test_block_minres_needs_preconditioner():
 
 
 @pytest.mark.parametrize("error", [SystemError, MemoryError])
-@pytest.mark.parametrize("method", SOLVE_METHODS)
-def test_factorization_out_of_memory_is_solve_error(monkeypatch, capsys,
-                                                    method, error):
+@pytest.mark.parametrize("method", ["block_minres", "direct_factorization"])
+def test_factorization_out_of_memory_is_solve_error(monkeypatch, method,
+                                                    error):
     # SuperLU reports exhausted memory as SystemError from gstrf
     system = stokes_system()
 
@@ -139,10 +138,29 @@ def test_factorization_out_of_memory_is_solve_error(monkeypatch, capsys,
     monkeypatch.setattr(spla, "splu", out_of_memory)
     with pytest.raises(SolveError):
         solve(system, method=method)
+
+
+def test_factorization_out_of_memory_exit_code(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise SystemError("gstrf was called with invalid arguments")
+
+    monkeypatch.setattr(spla, "splu", out_of_memory)
     # the weighted-average projector needs no factorisation of its own
-    assert main(["convergence", "--levels", "2", "--projector", "carstensen",
-                 "--solver", method]) == 2
+    assert main(["convergence", "--levels", "2",
+                 "--projector", "carstensen"]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_scalar_stiffness_is_the_velocity_block_layout():
+    # the preconditioner factorises K alone; A must be exactly diag(K, K)
+    for pairing in (TAYLOR_HOOD, MINI):
+        mesh = refine_uniform(build_domain("nonconvex"))
+        dm = build_dofmap(mesh, pairing)
+        system = assemble_bordered_system(
+            mesh, dm, np.zeros((dm.n_boundary_dofs, 2)))
+        k = system.scalar_stiffness
+        assert 2 * k.shape[0] == system.n_interior
+        assert abs(system.A - sp.block_diag([k, k])).max() == 0.0
 
 
 def test_unknown_method_rejected():
