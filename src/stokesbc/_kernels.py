@@ -1,28 +1,12 @@
 """Hot inner loops: local matrix computation and error accumulation.
 
-Each kernel exists twice, a numba ``@njit`` loop and a vectorized pure-numpy
-fallback.  The active path is chosen at import time:
-
-* default: numba if importable, numpy otherwise,
-* ``STOKESBC_NUMBA=0`` in the environment forces the numpy path.
-
-Both paths produce bit-compatible layouts; ``benchmarks/bench_kernels.py``
-compares their runtimes.
+Vectorized numpy kernels over all elements (or cells) at once.
 """
-
-import os
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("STOKESBC_NUMBA", "1") != "0"
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
 
-
-def _local_matrices_np(tri_xy, grad_v, vals_p, qw):
+def local_matrices(tri_xy, grad_v, vals_p, qw):
     """Local stiffness and divergence blocks for every element.
 
     Parameters
@@ -53,7 +37,7 @@ def _local_matrices_np(tri_xy, grad_v, vals_p, qw):
     return kloc, dloc, detj
 
 
-def _l2_accumulate_np(coef, vals_v, wdet, exact):
+def l2_accumulate(coef, vals_v, wdet, exact):
     """Sum of w * |y_h - y|^2 over cells and quadrature points.
 
     coef : (nc, nl, 2) velocity coefficients per cell
@@ -66,7 +50,7 @@ def _l2_accumulate_np(coef, vals_v, wdet, exact):
     return float(np.einsum("nq,nqc->", wdet, diff * diff))
 
 
-def _h1_accumulate_np(coef, grad_v, invjt, wdet, exact_grad):
+def h1_accumulate(coef, grad_v, invjt, wdet, exact_grad):
     """Sum of w * |grad y_h - grad y|_F^2 over cells and quadrature points.
 
     grad_v : (nq, nl, 2) reference gradients; invjt : (nc, 2, 2);
@@ -76,95 +60,3 @@ def _h1_accumulate_np(coef, grad_v, invjt, wdet, exact_grad):
     gh = np.einsum("nqid,nic->nqcd", g, coef)
     diff = gh - exact_grad
     return float(np.einsum("nq,nqcd->", wdet, diff * diff))
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _local_matrices_nb(tri_xy, grad_v, vals_p, qw):
-        nt = tri_xy.shape[0]
-        nq, nl = grad_v.shape[0], grad_v.shape[1]
-        kloc = np.zeros((nt, nl, nl))
-        dloc = np.zeros((nt, 2, 3, nl))
-        detj = np.empty(nt)
-        g = np.empty((nl, 2))
-        for t in range(nt):
-            j00 = tri_xy[t, 1, 0] - tri_xy[t, 0, 0]
-            j10 = tri_xy[t, 1, 1] - tri_xy[t, 0, 1]
-            j01 = tri_xy[t, 2, 0] - tri_xy[t, 0, 0]
-            j11 = tri_xy[t, 2, 1] - tri_xy[t, 0, 1]
-            d = j00 * j11 - j01 * j10
-            detj[t] = d
-            a00, a01 = j11 / d, -j10 / d
-            a10, a11 = -j01 / d, j00 / d
-            for q in range(nq):
-                w = qw[q] * d
-                for i in range(nl):
-                    g[i, 0] = a00 * grad_v[q, i, 0] + a01 * grad_v[q, i, 1]
-                    g[i, 1] = a10 * grad_v[q, i, 0] + a11 * grad_v[q, i, 1]
-                for i in range(nl):
-                    for k in range(i, nl):
-                        kloc[t, i, k] += w * (g[i, 0] * g[k, 0]
-                                              + g[i, 1] * g[k, 1])
-                for i in range(3):
-                    wp = w * vals_p[q, i]
-                    for k in range(nl):
-                        dloc[t, 0, i, k] += wp * g[k, 0]
-                        dloc[t, 1, i, k] += wp * g[k, 1]
-            for i in range(nl):
-                for k in range(i):
-                    kloc[t, i, k] = kloc[t, k, i]
-        return kloc, dloc, detj
-
-    @njit(cache=True)
-    def _l2_accumulate_nb(coef, vals_v, wdet, exact):
-        nc, nq = wdet.shape
-        nl = vals_v.shape[1]
-        total = 0.0
-        for n in range(nc):
-            for q in range(nq):
-                y0 = 0.0
-                y1 = 0.0
-                for i in range(nl):
-                    y0 += vals_v[q, i] * coef[n, i, 0]
-                    y1 += vals_v[q, i] * coef[n, i, 1]
-                d0 = y0 - exact[n, q, 0]
-                d1 = y1 - exact[n, q, 1]
-                total += wdet[n, q] * (d0 * d0 + d1 * d1)
-        return total
-
-    @njit(cache=True)
-    def _h1_accumulate_nb(coef, grad_v, invjt, wdet, exact_grad):
-        nc, nq = wdet.shape
-        nl = grad_v.shape[1]
-        total = 0.0
-        for n in range(nc):
-            a00, a01 = invjt[n, 0, 0], invjt[n, 0, 1]
-            a10, a11 = invjt[n, 1, 0], invjt[n, 1, 1]
-            for q in range(nq):
-                g00 = 0.0
-                g01 = 0.0
-                g10 = 0.0
-                g11 = 0.0
-                for i in range(nl):
-                    gx = a00 * grad_v[q, i, 0] + a01 * grad_v[q, i, 1]
-                    gy = a10 * grad_v[q, i, 0] + a11 * grad_v[q, i, 1]
-                    g00 += gx * coef[n, i, 0]
-                    g01 += gy * coef[n, i, 0]
-                    g10 += gx * coef[n, i, 1]
-                    g11 += gy * coef[n, i, 1]
-                d00 = g00 - exact_grad[n, q, 0, 0]
-                d01 = g01 - exact_grad[n, q, 0, 1]
-                d10 = g10 - exact_grad[n, q, 1, 0]
-                d11 = g11 - exact_grad[n, q, 1, 1]
-                total += wdet[n, q] * (d00 * d00 + d01 * d01
-                                       + d10 * d10 + d11 * d11)
-        return total
-
-    local_matrices = _local_matrices_nb
-    l2_accumulate = _l2_accumulate_nb
-    h1_accumulate = _h1_accumulate_nb
-else:
-    local_matrices = _local_matrices_np
-    l2_accumulate = _l2_accumulate_np
-    h1_accumulate = _h1_accumulate_np

@@ -62,18 +62,7 @@ def assemble_stiffness(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     The two components do not couple, so the matrix is block diagonal with
     two copies of the scalar stiffness matrix.
     """
-    kloc, _ = _local_blocks(mesh, dofmap)
-    nl = N_LOCAL_VELOCITY[dofmap.pairing.kind]
-    dofs = dofmap.cell_velocity
-    rows = np.repeat(dofs, nl, axis=1).ravel()
-    cols = np.tile(dofs, (1, nl)).ravel()
-    ns = dofmap.n_scalar_velocity
-    scalar = sp.coo_matrix((kloc.ravel(), (rows, cols)),
-                           shape=(ns, ns)).tocsr()
-    scalar.sum_duplicates()
-    full = sp.block_diag([scalar, scalar], format="csr")
-    full.sort_indices()
-    return full
+    return _stiffness_matrix(_local_blocks(mesh, dofmap)[0], dofmap)
 
 
 def assemble_divergence(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
@@ -82,7 +71,30 @@ def assemble_divergence(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     Rows range over the full nodal pressure basis, columns over vector
     velocity dofs in component-major layout.
     """
-    _, dloc = _local_blocks(mesh, dofmap)
+    return _divergence_matrix(_local_blocks(mesh, dofmap)[1], dofmap)
+
+
+def _stiffness_matrix(kloc, dofmap: DofMap) -> sp.csr_matrix:
+    nl = N_LOCAL_VELOCITY[dofmap.pairing.kind]
+    keep = np.ones((nl, nl), dtype=bool)
+    if dofmap.pairing.kind == "mini":
+        # the MINI bubble b and a vertex function lambda_i do not couple:
+        # int grad b . grad lambda_i = grad lambda_i . int_dT b n = 0
+        keep[3, :3] = keep[:3, 3] = False
+    keep = keep.ravel()
+    dofs = dofmap.cell_velocity
+    rows = np.repeat(dofs, nl, axis=1)[:, keep].ravel()
+    cols = np.tile(dofs, (1, nl))[:, keep].ravel()
+    vals = kloc.reshape(len(kloc), -1)[:, keep].ravel()
+    ns = dofmap.n_scalar_velocity
+    scalar = sp.coo_matrix((vals, (rows, cols)), shape=(ns, ns)).tocsr()
+    scalar.sum_duplicates()
+    full = sp.block_diag([scalar, scalar], format="csr")
+    full.sort_indices()
+    return full
+
+
+def _divergence_matrix(dloc, dofmap: DofMap) -> sp.csr_matrix:
     nl = N_LOCAL_VELOCITY[dofmap.pairing.kind]
     ns = dofmap.n_scalar_velocity
     rows = np.repeat(dofmap.cell_pressure, nl, axis=1)
@@ -235,8 +247,9 @@ def assemble_bordered_system(mesh: Mesh, dofmap: DofMap, u_h,
     if alpha_reg < 0:
         raise ValueError("alpha_reg must be >= 0")
 
-    stiffness = assemble_stiffness(mesh, dofmap)
-    divergence = assemble_divergence(mesh, dofmap)
+    kloc, dloc = _local_blocks(mesh, dofmap)
+    stiffness = _stiffness_matrix(kloc, dofmap)
+    divergence = _divergence_matrix(dloc, dofmap)
     ns = dofmap.n_scalar_velocity
     interior = np.concatenate([dofmap.interior_dofs,
                                ns + dofmap.interior_dofs])

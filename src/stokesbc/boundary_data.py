@@ -114,64 +114,76 @@ def trace_of_solution(polygon, sol: SingularSolution) -> BoundaryDatum:
                          jumps=(), singular_at_corner=True)
 
 
-def _edge_segments(mesh: Mesh, datum: BoundaryDatum):
-    """Integration segments per boundary edge, in the edge's [0, L] arclength.
+def _boundary_rule(mesh: Mesh, datum: BoundaryDatum):
+    """Composite Gauss rule on the whole boundary, as flat arrays.
 
-    Splits at declared jump points and applies dyadic grading toward the
-    origin corner on the two polygon edges incident to it.
+    Returns ``(edge, t, w)``: the boundary edge of each point, its parameter
+    ``t`` in [0, 1] along that edge and its arclength weight.  Boundary
+    edges are cut at the declared jump points and, for data singular at the
+    corner, into ``CORNER_LEVELS`` dyadic layers on the two edges at the
+    origin; every segment gets ``GAUSS_POINTS`` points.
     """
     lengths = mesh.boundary_edge_lengths()
     offsets = mesh.boundary_edge_offsets()
     parents = mesh.boundary_parent
-    poly_len = mesh.polygon.edge_lengths
-    n_poly = mesh.polygon.n_edges
-    out = []
-    for e in range(mesh.n_boundary_edges):
-        L = lengths[e]
-        cuts = {0.0, L}
-        for je, js in datum.jumps:
-            if je == parents[e]:
-                local = js - offsets[e]
-                if 1e-14 * L < local < L * (1 - 1e-14):
-                    cuts.add(float(local))
-        if datum.singular_at_corner:
-            # origin = start of polygon edge 0 and end of the last one
-            if parents[e] == 0 and offsets[e] < 1e-14:
-                for k in range(1, CORNER_LEVELS + 1):
-                    cuts.add(L * 0.5 ** k)
-            par_end = offsets[e] + L
-            if parents[e] == n_poly - 1 \
-                    and abs(par_end - poly_len[parents[e]]) < 1e-12:
-                for k in range(1, CORNER_LEVELS + 1):
-                    cuts.add(L * (1.0 - 0.5 ** k))
-        out.append(np.array(sorted(cuts)))
-    return out
+    every = np.arange(mesh.n_boundary_edges)
+    # cuts as (boundary edge, arclength from the edge start)
+    cut_edge, cut_at = [every, every], [np.zeros(len(every)), lengths]
+    for je, js in datum.jumps:
+        local = js - offsets
+        on = ((parents == je) & (local > 1e-14 * lengths)
+              & (local < lengths * (1 - 1e-14)))
+        cut_edge.append(every[on])
+        cut_at.append(local[on])
+    if datum.singular_at_corner:
+        # the origin is the start of polygon edge 0 and the end of the last
+        last = mesh.polygon.n_edges - 1
+        ends_at_origin = np.abs(offsets + lengths
+                                - mesh.polygon.edge_lengths[last]) < 1e-12
+        dyadic = 0.5 ** np.arange(1, CORNER_LEVELS + 1)
+        for on, layers in (((parents == 0) & (offsets < 1e-14), dyadic),
+                           ((parents == last) & ends_at_origin, 1.0 - dyadic)):
+            cut_edge.append(np.repeat(every[on], CORNER_LEVELS))
+            cut_at.append(np.outer(lengths[on], layers).ravel())
+    cut_edge, cut_at = np.concatenate(cut_edge), np.concatenate(cut_at)
+    order = np.lexsort((cut_at, cut_edge))
+    cut_edge, cut_at = cut_edge[order], cut_at[order]
+    # consecutive distinct cuts on one edge bound a segment
+    seg = (cut_edge[1:] == cut_edge[:-1]) & (cut_at[1:] > cut_at[:-1])
+    start, width = cut_at[:-1][seg], np.diff(cut_at)[seg]
+    edge = np.repeat(cut_edge[:-1][seg], GAUSS_POINTS)
+    xg, wg = gauss_legendre_unit(GAUSS_POINTS)
+    s = (start[:, None] + width[:, None] * xg).ravel()
+    return edge, s / lengths[edge], (width[:, None] * wg).ravel()
+
+
+def _datum_values(datum: BoundaryDatum, mesh: Mesh, edge, t):
+    """Datum at parameter ``t`` of boundary edges ``edge``.
+
+    Calls ``datum.evaluate`` once per polygon edge.
+    """
+    parent = mesh.boundary_parent[edge]
+    s = (mesh.boundary_edge_offsets()[edge]
+         + t * mesh.boundary_edge_lengths()[edge])
+    vals = np.empty((len(t), 2))
+    for p in np.unique(parent):
+        on = parent == p
+        vals[on] = datum.evaluate(int(p), s[on])
+    return vals
 
 
 def _edge_moments(mesh: Mesh, dofmap: DofMap, datum: BoundaryDatum):
     """Moments <u, phi_i> for every boundary trace basis function.
 
-    Returns an (nbd, 2) array; integration is composite Gauss on the segment
-    decomposition of :func:`_edge_segments`.
+    Returns an (nbd, 2) array, integrated by :func:`_boundary_rule`.
     """
-    xg, wg = gauss_legendre_unit(GAUSS_POINTS)
-    segments = _edge_segments(mesh, datum)
-    lengths = mesh.boundary_edge_lengths()
-    offsets = mesh.boundary_edge_offsets()
-    pos = dofmap.boundary_position[dofmap.boundary_edge_dofs]
-    moments = np.zeros((dofmap.n_boundary_dofs, 2))
-    for e in range(mesh.n_boundary_edges):
-        L = lengths[e]
-        cuts = segments[e]
-        a = cuts[:-1]
-        d = np.diff(cuts)
-        s = (a[:, None] + d[:, None] * xg[None, :]).ravel()
-        w = (d[:, None] * wg[None, :]).ravel()
-        vals = datum.evaluate(int(mesh.boundary_parent[e]), offsets[e] + s)
-        basis = edge_trace_values(dofmap.pairing, s / L)
-        contrib = np.einsum("g,gi,gc->ic", w, basis, vals)
-        np.add.at(moments, pos[e], contrib)
-    return moments
+    edge, t, w = _boundary_rule(mesh, datum)
+    vals = _datum_values(datum, mesh, edge, t)
+    weighted = w[:, None] * edge_trace_values(dofmap.pairing, t)
+    rows = dofmap.boundary_position[dofmap.boundary_edge_dofs][edge].ravel()
+    return np.column_stack([
+        np.bincount(rows, (weighted * vals[:, None, c]).ravel(),
+                    minlength=dofmap.n_boundary_dofs) for c in range(2)])
 
 
 def project_l2(u: BoundaryDatum, mesh: Mesh, dofmap: DofMap) -> BoundaryTrace:
@@ -218,22 +230,23 @@ def interpolate_lagrange(u: BoundaryDatum, mesh: Mesh,
     Requires the datum to be continuous at every node; evaluation at a
     declared jump location is rejected.
     """
-    lengths = mesh.boundary_edge_lengths()
-    offsets = mesh.boundary_edge_offsets()
-    pos = dofmap.boundary_position[dofmap.boundary_edge_dofs]
     if dofmap.pairing.kind == "taylor_hood":
         params = np.array([0.0, 0.5, 1.0])
     else:
         params = np.array([0.0, 1.0])
+    edge = np.repeat(np.arange(mesh.n_boundary_edges), len(params))
+    t = np.tile(params, mesh.n_boundary_edges)
+    s = (mesh.boundary_edge_offsets()[edge]
+         + t * mesh.boundary_edge_lengths()[edge])
+    for je, js in u.jumps:
+        if np.any((mesh.boundary_parent[edge] == je)
+                  & (np.abs(s - js) < 1e-12)):
+            raise ValueError("datum has a jump at a boundary node; "
+                             "Lagrange interpolation is not defined")
     coef = np.zeros((dofmap.n_boundary_dofs, 2))
-    for e in range(mesh.n_boundary_edges):
-        s = offsets[e] + params * lengths[e]
-        parent = int(mesh.boundary_parent[e])
-        for je, js in u.jumps:
-            if je == parent and np.any(np.abs(s - js) < 1e-12):
-                raise ValueError("datum has a jump at a boundary node; "
-                                 "Lagrange interpolation is not defined")
-        coef[pos[e]] = u.evaluate(parent, s)
+    # a node shared by two edges takes the value from the later edge
+    coef[dofmap.boundary_position[dofmap.boundary_edge_dofs].ravel()] = \
+        _datum_values(u, mesh, edge, t)
     return BoundaryTrace(coef)
 
 
@@ -282,40 +295,17 @@ def build_corrector(kind: str, mesh: Mesh,
 
 def datum_flux(u: BoundaryDatum, mesh: Mesh) -> float:
     """Boundary flux <u, n> of the datum itself, by composite quadrature."""
-    xg, wg = gauss_legendre_unit(GAUSS_POINTS)
-    segments = _edge_segments(mesh, u)
-    offsets = mesh.boundary_edge_offsets()
-    total = 0.0
-    for e in range(mesh.n_boundary_edges):
-        cuts = segments[e]
-        a = cuts[:-1]
-        d = np.diff(cuts)
-        s = (a[:, None] + d[:, None] * xg[None, :]).ravel()
-        w = (d[:, None] * wg[None, :]).ravel()
-        vals = u.evaluate(int(mesh.boundary_parent[e]), offsets[e] + s)
-        total += float(w @ (vals @ mesh.boundary_normals[e]))
-    return total
+    edge, t, w = _boundary_rule(mesh, u)
+    vals = _datum_values(u, mesh, edge, t)
+    return float(w @ np.einsum("gc,gc->g", vals, mesh.boundary_normals[edge]))
 
 
 def trace_l2_distance(u: BoundaryDatum, u_h: BoundaryTrace, mesh: Mesh,
                       dofmap: DofMap) -> float:
     """L2(boundary) distance between a datum and a discrete trace."""
-    xg, wg = gauss_legendre_unit(GAUSS_POINTS)
-    segments = _edge_segments(mesh, u)
-    lengths = mesh.boundary_edge_lengths()
-    offsets = mesh.boundary_edge_offsets()
+    edge, t, w = _boundary_rule(mesh, u)
     pos = dofmap.boundary_position[dofmap.boundary_edge_dofs]
-    total = 0.0
-    for e in range(mesh.n_boundary_edges):
-        L = lengths[e]
-        cuts = segments[e]
-        a = cuts[:-1]
-        d = np.diff(cuts)
-        s = (a[:, None] + d[:, None] * xg[None, :]).ravel()
-        w = (d[:, None] * wg[None, :]).ravel()
-        vals = u.evaluate(int(mesh.boundary_parent[e]), offsets[e] + s)
-        basis = edge_trace_values(dofmap.pairing, s / L)
-        approx = basis @ u_h.coefficients[pos[e]]
-        diff = vals - approx
-        total += float(w @ (diff * diff).sum(axis=1))
-    return np.sqrt(total)
+    approx = np.einsum("gi,gic->gc", edge_trace_values(dofmap.pairing, t),
+                       u_h.coefficients[pos[edge]])
+    diff = _datum_values(u, mesh, edge, t) - approx
+    return float(np.sqrt(w @ (diff * diff).sum(axis=1)))

@@ -3,8 +3,9 @@
 All error integrals use fixed-degree triangle quadrature; elements touching
 the singular corner are additionally split into dyadically shrinking layers
 toward the origin so that integrands like |y|^2 ~ r^(2a) with a near -1/2
-are resolved.  The corner layering depth is configurable and a robustness
-check (deepening the layers must not move the value) guards every study.
+are resolved.  The corner layering depth is configurable; the test
+``test_corner_subdivision_robustness`` checks that deepening the layers does
+not move the value.  Studies do not run that check.
 """
 
 from __future__ import annotations

@@ -225,37 +225,23 @@ class DofMap:
         nv = mesh.n_vertices
         tris = mesh.triangles
 
-        edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]],
-                                tris[:, [2, 0]]])
-        key = np.sort(edges, axis=1)
-        uniq, inv = np.unique(key, axis=0, return_inverse=True)
-        self.n_edges = len(uniq)
-        nt = mesh.n_triangles
+        self.n_edges = len(mesh.edges)
+        a, b = mesh.boundary_edges.T
 
         if pairing.kind == "taylor_hood":
             self.n_scalar_velocity = nv + self.n_edges
-            edge_dof = nv + inv.reshape(3, nt).T
-            self.cell_velocity = np.hstack([tris, edge_dof])
+            self.cell_velocity = np.hstack([tris, nv + mesh.triangle_edges])
+            m = nv + mesh.boundary_edge_ids
+            self.boundary_dofs = np.column_stack([a, m]).ravel()
+            self.boundary_edge_dofs = np.column_stack([a, m, b])
         else:
-            self.n_scalar_velocity = nv + nt
-            bubble = nv + np.arange(nt)[:, None]
+            self.n_scalar_velocity = nv + mesh.n_triangles
+            bubble = nv + np.arange(mesh.n_triangles)[:, None]
             self.cell_velocity = np.hstack([tris, bubble])
+            self.boundary_dofs = a.copy()
+            self.boundary_edge_dofs = mesh.boundary_edges.copy()
         self.cell_pressure = tris.copy()
         self.n_pressure = nv
-
-        edge_lookup = {tuple(e): i for i, e in enumerate(map(tuple, uniq))}
-        bdofs = []
-        edofs = []
-        for a, b in mesh.boundary_edges:
-            if pairing.kind == "taylor_hood":
-                m = nv + edge_lookup[tuple(sorted((int(a), int(b))))]
-                bdofs.extend([int(a), m])
-                edofs.append((int(a), m, int(b)))
-            else:
-                bdofs.append(int(a))
-                edofs.append((int(a), int(b)))
-        self.boundary_dofs = np.array(bdofs, dtype=np.int64)
-        self.boundary_edge_dofs = np.array(edofs, dtype=np.int64)
 
         mask = np.zeros(self.n_scalar_velocity, dtype=bool)
         mask[self.boundary_dofs] = True
@@ -282,12 +268,9 @@ class DofMap:
         pts = np.empty((self.n_scalar_velocity, 2))
         pts[:mesh.n_vertices] = mesh.vertices
         if self.pairing.kind == "taylor_hood":
-            tris = mesh.triangles
-            for k in range(3):
-                i, j = k, (k + 1) % 3
-                dof = self.cell_velocity[:, 3 + k]
-                pts[dof] = 0.5 * (mesh.vertices[tris[:, i]]
-                                  + mesh.vertices[tris[:, j]])
+            edges = mesh.edges
+            pts[mesh.n_vertices:] = 0.5 * (mesh.vertices[edges[:, 0]]
+                                           + mesh.vertices[edges[:, 1]])
         else:
             dof = self.cell_velocity[:, 3]
             pts[dof] = mesh.vertices[mesh.triangles].mean(axis=1)

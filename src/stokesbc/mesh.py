@@ -104,6 +104,13 @@ class Mesh:
         Outward unit normal of each boundary edge.
     boundary_parent : (nbe,) int array
         Index of the polygon edge each boundary edge lies on.
+    edges : (ne, 2) int array
+        Every edge once as a vertex pair (low, high), in lexicographic order.
+    triangle_edges : (nt, 3) int array
+        Edge id of each triangle's local edge k, which joins local vertices
+        k and k+1 (mod 3).
+    boundary_edge_ids : (nbe,) int array
+        Edge id of each boundary edge.
     h : float
         Maximum triangle diameter.
     """
@@ -117,11 +124,15 @@ class Mesh:
         self.boundary_parent = np.ascontiguousarray(boundary_parent, dtype=np.int64)
         self.boundary_normals = polygon.edge_normals[self.boundary_parent]
         self._validate()
-        self.vertices.setflags(write=False)
-        self.triangles.setflags(write=False)
-        self.boundary_edges.setflags(write=False)
-        self.boundary_parent.setflags(write=False)
-        self.boundary_normals.setflags(write=False)
+        nv = self.n_vertices
+        keys, self.triangle_edges = _number_edges(self.triangles, nv)
+        self.edges = np.column_stack(np.divmod(keys, nv))
+        self.boundary_edge_ids = np.searchsorted(
+            keys, _edge_key(*self.boundary_edges.T, nv))
+        for array in (self.vertices, self.triangles, self.boundary_edges,
+                      self.boundary_parent, self.boundary_normals, self.edges,
+                      self.triangle_edges, self.boundary_edge_ids):
+            array.setflags(write=False)
 
     def _validate(self):
         if np.any(self.triangle_areas() <= 0):
@@ -181,16 +192,30 @@ def _close_chain(edges):
     return order
 
 
+def _edge_key(a, b, n_vertices):
+    """Integer key of the undirected edge {a, b}.
+
+    Keys order edges like the vertex pairs (low, high) in lexicographic order.
+    """
+    return np.minimum(a, b) * n_vertices + np.maximum(a, b)
+
+
+def _number_edges(triangles, n_vertices):
+    """Sorted unique edge keys and the (nt, 3) edge id of each local edge."""
+    keys = _edge_key(triangles, np.roll(triangles, -1, axis=1), n_vertices)
+    unique, inverse = np.unique(keys.ravel(), return_inverse=True)
+    return unique, inverse.reshape(triangles.shape)
+
+
 def _make_mesh(polygon, vertices, triangles):
     """Assemble a Mesh from vertex/triangle arrays, deriving the boundary."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
-    edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                            triangles[:, [2, 0]]])
-    key = np.sort(edges, axis=1)
-    _, inv, counts = np.unique(key, axis=0, return_inverse=True,
-                               return_counts=True)
-    bnd = edges[counts[inv] == 1]
+    _, triangle_edges = _number_edges(triangles, len(vertices))
+    # an edge of exactly one triangle is a boundary edge, kept in that
+    # triangle's orientation
+    once = np.bincount(triangle_edges.ravel())[triangle_edges] == 1
+    bnd = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=2)[once]
 
     # match each boundary edge to its polygon edge via midpoint collinearity
     mids = 0.5 * (vertices[bnd[:, 0]] + vertices[bnd[:, 1]])
@@ -260,19 +285,13 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     boundary edge splits into two children that inherit the parent polygon
     edge (and hence its normal).
     """
-    tris = mesh.triangles
-    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    key = np.sort(edges, axis=1)
-    uniq, inv = np.unique(key, axis=0, return_inverse=True)
-    mid_index = mesh.n_vertices + np.arange(len(uniq))
-    midpoints = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
+    nv = mesh.n_vertices
+    edges = mesh.edges
+    midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.vstack([mesh.vertices, midpoints])
 
-    nt = mesh.n_triangles
-    m01 = mid_index[inv[0 * nt:1 * nt]]
-    m12 = mid_index[inv[1 * nt:2 * nt]]
-    m20 = mid_index[inv[2 * nt:3 * nt]]
-    v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
+    v0, v1, v2 = mesh.triangles.T
+    m01, m12, m20 = (nv + mesh.triangle_edges).T
     children = np.concatenate([
         np.column_stack([v0, m01, m20]),
         np.column_stack([m01, v1, m12]),
@@ -281,15 +300,11 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     ])
 
     # split boundary edges in traversal order so the chain stays closed
-    edge_lookup = {tuple(e): i for i, e in enumerate(map(tuple, uniq))}
-    bnd = []
-    parent = []
-    for (a, b), p in zip(mesh.boundary_edges, mesh.boundary_parent):
-        m = mid_index[edge_lookup[tuple(sorted((a, b)))]]
-        bnd.extend([(a, m), (m, b)])
-        parent.extend([p, p])
-    return Mesh(mesh.polygon, vertices, children, np.array(bnd),
-                np.array(parent))
+    a, b = mesh.boundary_edges.T
+    m = nv + mesh.boundary_edge_ids
+    bnd = np.column_stack([a, m, m, b]).reshape(-1, 2)
+    return Mesh(mesh.polygon, vertices, children, bnd,
+                np.repeat(mesh.boundary_parent, 2))
 
 
 def boundary_arclength(mesh: Mesh) -> float:

@@ -67,6 +67,17 @@ def test_stiffness_symmetric_and_kills_constants(pairing, lshape_th):
     assert np.abs(resid).max() < 1e-12
 
 
+def test_mini_stiffness_has_no_bubble_vertex_entries():
+    mesh = refine_uniform(refine_uniform(build_domain("convex")))
+    dm = build_dofmap(mesh, MINI)
+    K = assemble_stiffness(mesh, dm).tocoo()
+    ns, nv = dm.n_scalar_velocity, mesh.n_vertices
+    bubble_row = K.row % ns >= nv
+    bubble_col = K.col % ns >= nv
+    assert not np.any(bubble_row != bubble_col)
+    assert np.count_nonzero(bubble_row) == 2 * mesh.n_triangles
+
+
 def test_divergence_of_identity_field(lshape_th):
     mesh, dm = lshape_th
     D = assemble_divergence(mesh, dm)
