@@ -18,7 +18,7 @@ from .boundary_data import (BoundaryDatum, BoundaryTrace,
                             trace_of_solution)
 from .cli import (StudyConfig, emit_table, run_convergence,
                   run_counterexample)
-from .errors import (ConvergenceRecord, eoc, expected_order,
+from .errors import (ConvergenceRecord, ErrorQuadrature, eoc, expected_order,
                      h1_seminorm_velocity_error, l2_pressure_error,
                      l2_velocity_error)
 from .fe_spaces import (MINI, TAYLOR_HOOD, DofMap, ElementPairing,

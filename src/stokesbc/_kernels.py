@@ -6,6 +6,21 @@ Vectorized numpy kernels over all elements (or cells) at once.
 import numpy as np
 
 
+def affine_jacobians(tri_xy):
+    """Determinants (nt,) and inverse transposes (nt, 2, 2) of the maps from
+    the reference triangle onto the triangles with vertices ``tri_xy``."""
+    j = np.stack([tri_xy[:, 1] - tri_xy[:, 0],
+                  tri_xy[:, 2] - tri_xy[:, 0]], axis=2)
+    detj = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
+    invjt = np.empty_like(j)
+    invjt[:, 0, 0] = j[:, 1, 1]
+    invjt[:, 0, 1] = -j[:, 1, 0]
+    invjt[:, 1, 0] = -j[:, 0, 1]
+    invjt[:, 1, 1] = j[:, 0, 0]
+    invjt /= detj[:, None, None]
+    return detj, invjt
+
+
 def local_matrices(tri_xy, grad_v, vals_p, qw):
     """Local stiffness and divergence blocks for every element.
 
@@ -22,15 +37,7 @@ def local_matrices(tri_xy, grad_v, vals_p, qw):
     dloc : (nt, 2, 3, nl) with entries int q_i * d_c phi_j
     detj : (nt,) Jacobian determinants (= 2 x area)
     """
-    j = np.stack([tri_xy[:, 1] - tri_xy[:, 0],
-                  tri_xy[:, 2] - tri_xy[:, 0]], axis=2)
-    detj = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
-    invjt = np.empty_like(j)
-    invjt[:, 0, 0] = j[:, 1, 1]
-    invjt[:, 0, 1] = -j[:, 1, 0]
-    invjt[:, 1, 0] = -j[:, 0, 1]
-    invjt[:, 1, 1] = j[:, 0, 0]
-    invjt /= detj[:, None, None]
+    detj, invjt = affine_jacobians(tri_xy)
     g = np.einsum("tde,qie->tqid", invjt, grad_v)
     kloc = np.einsum("q,tqid,tqjd,t->tij", qw, g, g, detj, optimize=True)
     dloc = np.einsum("q,qi,tqjc,t->tcij", qw, vals_p, g, detj, optimize=True)
@@ -41,22 +48,24 @@ def l2_accumulate(coef, vals_v, wdet, exact):
     """Sum of w * |y_h - y|^2 over cells and quadrature points.
 
     coef : (nc, nl, 2) velocity coefficients per cell
-    vals_v : (nq, nl) basis values
-    wdet : (nc, nq) scaled weights (reference weight x detJ)
+    vals_v : (nq, nl) basis values shared by all cells, or (nc, nq, nl)
+    wdet : (nc, nq) physical weights (reference weight x detJ)
     exact : (nc, nq, 2) exact values at the mapped points
     """
-    yh = np.einsum("qi,nic->nqc", vals_v, coef)
-    diff = yh - exact
+    diff = np.einsum("...qi,...ic->...qc", vals_v, coef) - exact
     return float(np.einsum("nq,nqc->", wdet, diff * diff))
 
 
 def h1_accumulate(coef, grad_v, invjt, wdet, exact_grad):
     """Sum of w * |grad y_h - grad y|_F^2 over cells and quadrature points.
 
-    grad_v : (nq, nl, 2) reference gradients; invjt : (nc, 2, 2);
+    grad_v : (nq, nl, 2) reference gradients shared by all cells, or
+    (nc, nq, nl, 2); invjt : (nc, 2, 2);
     exact_grad : (nc, nq, 2, 2) with entries d y_c / d x_d.
+
+    The coefficients are contracted with the reference gradients before the
+    map to physical gradients, so no (nc, nq, nl, 2) array is formed.
     """
-    g = np.einsum("nde,qie->nqid", invjt, grad_v)
-    gh = np.einsum("nqid,nic->nqcd", g, coef)
-    diff = gh - exact_grad
+    gref = np.einsum("...qie,...ic->...qce", grad_v, coef)
+    diff = np.einsum("nde,nqce->nqcd", invjt, gref) - exact_grad
     return float(np.einsum("nq,nqcd->", wdet, diff * diff))

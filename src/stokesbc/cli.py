@@ -17,16 +17,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .assembly import (assemble_bordered_system, boundary_flux,
-                       compute_delta_h)
+from .assembly import assemble_bordered_system, boundary_flux
 from .boundary_data import (BoundaryDatum, build_corrector, datum_flux,
                             enforce_compatibility, interpolate_carstensen,
                             interpolate_lagrange, project_l2,
                             trace_of_solution)
-from .errors import (ConvergenceRecord, eoc, expected_order,
-                     h1_seminorm_velocity_error, l2_pressure_error,
-                     l2_velocity_error)
-from .fe_spaces import build_dofmap, pairing_from_name
+from .errors import (DEFAULT_QUAD_DEGREE, ConvergenceRecord, ErrorQuadrature,
+                     eoc, expected_order, h1_seminorm_velocity_error,
+                     l2_pressure_error, l2_velocity_error)
+from .fe_spaces import MAX_QUAD_DEGREE, build_dofmap, pairing_from_name
 from .manufactured import SingularSolution
 from .mesh import build_domain, refine_uniform, unit_square
 from .solver import SolveError, solve
@@ -62,7 +61,7 @@ class StudyConfig:
     projector: str = "l2"
     compat: str = "off"
     levels: int = 6
-    quad_degree: int = 10
+    quad_degree: int = DEFAULT_QUAD_DEGREE
     alpha_reg: float = 1.0
     output: str = "markdown"
 
@@ -80,8 +79,9 @@ class StudyConfig:
         if self.levels < 2:
             raise ConfigError("levels must be at least 2 (eoc needs two "
                               "meshes)")
-        if not 1 <= self.quad_degree <= 20:
-            raise ConfigError("quad-degree must lie in [1, 20]")
+        if not 1 <= self.quad_degree <= MAX_QUAD_DEGREE:
+            raise ConfigError(f"quad-degree must lie in [1, "
+                              f"{MAX_QUAD_DEGREE}]")
         if self.alpha_reg < 0:
             raise ConfigError("alpha-reg must be nonnegative")
         if self.output not in ("csv", "markdown"):
@@ -118,19 +118,17 @@ def run_convergence(config: StudyConfig) -> list[ConvergenceRecord]:
         system = assemble_bordered_system(mesh, dofmap, u_h,
                                           alpha_reg=config.alpha_reg)
         y_h, report = solve(system)
+        quad = ErrorQuadrature(mesh, dofmap, quad_degree=config.quad_degree)
         rec = ConvergenceRecord(
             level=level, h=mesh.h,
             n_dofs=2 * dofmap.n_scalar_velocity + dofmap.n_pressure + 1,
-            err_l2_velocity=l2_velocity_error(
-                y_h, sol, mesh, dofmap, quad_degree=config.quad_degree),
-            delta_h=compute_delta_h(u_h, mesh, dofmap),
+            err_l2_velocity=l2_velocity_error(y_h, sol, quad),
+            delta_h=system.delta_target,
             solver_iterations=report.iterations,
             solver_residual=report.residual_norm)
         if with_h1:
-            rec.err_h1_velocity = h1_seminorm_velocity_error(
-                y_h, sol, mesh, dofmap, quad_degree=config.quad_degree)
-            rec.err_l2_pressure = l2_pressure_error(
-                y_h, sol, mesh, dofmap, quad_degree=config.quad_degree)
+            rec.err_h1_velocity = h1_seminorm_velocity_error(y_h, sol, quad)
+            rec.err_l2_pressure = l2_pressure_error(y_h, sol, quad)
         if records:
             prev = records[-1]
             rec.eoc_l2_velocity = eoc(prev.err_l2_velocity,

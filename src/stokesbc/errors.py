@@ -1,11 +1,14 @@
 """Discretization error norms and experimental convergence orders.
 
-All error integrals use fixed-degree triangle quadrature; elements touching
-the singular corner are additionally split into dyadically shrinking layers
-toward the origin so that integrands like |y|^2 ~ r^(2a) with a near -1/2
-are resolved.  The corner layering depth is configurable; the test
-``test_corner_subdivision_robustness`` checks that deepening the layers does
-not move the value.  Studies do not run that check.
+All error integrals on one mesh share one ``ErrorQuadrature``: a
+fixed-degree triangle rule on every cell, where the cells touching the
+singular corner are split into dyadically shrinking layers toward the origin
+so that integrands like |y|^2 ~ r^(2a) with a near -1/2 are resolved.  Each
+layer is one more sub-cell of the point set, so every norm is one exact-field
+evaluation and one reduction per batch, with no branch for the corner.  The
+layering depth is configurable; the test ``test_corner_subdivision_robustness``
+checks that deepening the layers does not move the value.  Studies do not run
+that check.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .mesh import Mesh
 
 __all__ = [
     "ConvergenceRecord",
+    "ErrorQuadrature",
     "l2_velocity_error",
     "h1_seminorm_velocity_error",
     "l2_pressure_error",
@@ -53,159 +57,123 @@ class ConvergenceRecord:
     solver_residual: float | None = None
 
 
-def _corner_cells(mesh: Mesh):
-    """Indices of triangles with a vertex at the origin, origin vertex first."""
-    at_origin = np.hypot(*mesh.vertices.T) < 1e-14
-    touching = at_origin[mesh.triangles]
-    cells = np.where(touching.any(axis=1))[0]
-    rolled = []
-    for t in cells:
-        tri = mesh.triangles[t]
-        k = int(np.argmax(at_origin[tri]))
-        rolled.append(np.roll(tri, -k))
-    return cells, np.array(rolled, dtype=np.int64).reshape(-1, 3)
+@dataclass(frozen=True)
+class _Batch:
+    """Quadrature points of n (sub-)cells, each inside one mesh cell.
 
-
-def _dyadic_cells(p0, p1, p2, levels: int):
-    """Split triangle (origin p0, p1, p2) into layers shrinking toward p0."""
-    cells = [(p0, p1 * 0.5 ** levels + p0 * (1 - 0.5 ** levels),
-              p2 * 0.5 ** levels + p0 * (1 - 0.5 ** levels))]
-    for k in range(levels, 0, -1):
-        a, b = 0.5 ** k, 0.5 ** (k - 1)
-        pa1 = p0 + a * (p1 - p0)
-        pb1 = p0 + b * (p1 - p0)
-        pa2 = p0 + a * (p2 - p0)
-        pb2 = p0 + b * (p2 - p0)
-        cells.append((pa1, pb1, pb2))
-        cells.append((pa1, pb2, pa2))
-    return cells
-
-
-class _Integrator:
-    """Shared machinery: physical quadrature points plus FE evaluation data.
-
-    Regular cells are processed in one batch through the hot kernels; corner
-    cells are handled separately with dyadic layering, mapping each layer's
-    quadrature points back to barycentric coordinates of the parent cell.
+    Basis tables are either shared by all cells, shaped (nq, ...), or held per
+    sub-cell, shaped (n, nq, ...); the kernels broadcast over both.
     """
 
-    def __init__(self, mesh: Mesh, dofmap: DofMap, quad_degree: int,
-                 corner_levels: int):
+    points: np.ndarray         # (n, nq, 2) physical points
+    weights: np.ndarray        # (n, nq) physical weights
+    invjt: np.ndarray          # (n, 2, 2) inverse-transpose parent Jacobian
+    cell_velocity: np.ndarray  # (n, nl) parent scalar velocity dofs
+    cell_pressure: np.ndarray  # (n, 3) parent pressure dofs
+    vals_v: np.ndarray         # (..., nq, nl) velocity basis values
+    grads_v: np.ndarray        # (..., nq, nl, 2) reference gradients
+    vals_p: np.ndarray         # (..., nq, 3) pressure basis values
+
+
+def _dyadic_layers(levels: int):
+    """Layers of the reference triangle shrinking toward its vertex 0.
+
+    Layer vertices lie on the two edges at vertex 0, a fraction t of the way
+    to vertex 1 or 2: the innermost triangle reaches t = 2^-levels, and each
+    ring 2^-k <= t <= 2^(1-k) is cut into two triangles.  Returns the
+    barycentric vertices (2 * levels + 1, 3, 3), innermost first, and the
+    area ratio of each layer to the reference triangle.
+    """
+    a = 0.5 ** np.arange(levels, 0, -1)[:, None]  # inner edge of each ring
+    t = np.vstack([[[0.0, 0.5 ** levels, 0.5 ** levels]],
+                   np.hstack([a, 2 * a, 2 * a, a, 2 * a, a]).reshape(-1, 3)])
+    toward = np.vstack([[1, 1, 2],
+                        np.tile([[1, 1, 2], [1, 2, 2]], (levels, 1))])
+    eye = np.eye(3)
+    layers = (1.0 - t)[..., None] * eye[0] + t[..., None] * eye[toward]
+    return layers, np.linalg.det(layers)
+
+
+class ErrorQuadrature:
+    """Quadrature points of the error integrals on one mesh, built once.
+
+    Two batches of the same layout: the regular cells, sharing one
+    tabulation of the reference rule, and every dyadic layer of every cell
+    with a vertex at the origin, each layer a sub-cell with its own
+    tabulation at its points mapped back into the parent cell.
+    """
+
+    def __init__(self, mesh: Mesh, dofmap: DofMap,
+                 quad_degree: int = DEFAULT_QUAD_DEGREE,
+                 corner_levels: int = DEFAULT_CORNER_LEVELS):
         self.mesh = mesh
-        self.dofmap = dofmap
-        self.rule = quadrature(quad_degree)
-        self.corner_levels = corner_levels
-        corner, corner_rolled = _corner_cells(mesh)
-        self.corner = corner
-        self.corner_rolled = corner_rolled
-        mask = np.ones(mesh.n_triangles, dtype=bool)
-        mask[corner] = False
-        self.regular = np.where(mask)[0]
-        self.vals_v, self.grads_v = _tabulate(dofmap.pairing, "velocity",
-                                              self.rule.points)
-        self.vals_p, _ = _tabulate(dofmap.pairing, "pressure",
-                                   self.rule.points)
+        rule = quadrature(quad_degree)
+        tri_xy = mesh.vertices[mesh.triangles]
+        detj, invjt = _kernels.affine_jacobians(tri_xy)
 
-    def regular_geometry(self):
-        mesh = self.mesh
-        tri_xy = mesh.vertices[mesh.triangles[self.regular]]
-        j = np.stack([tri_xy[:, 1] - tri_xy[:, 0],
-                      tri_xy[:, 2] - tri_xy[:, 0]], axis=2)
-        detj = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
-        invjt = np.empty_like(j)
-        invjt[:, 0, 0] = j[:, 1, 1]
-        invjt[:, 0, 1] = -j[:, 1, 0]
-        invjt[:, 1, 0] = -j[:, 0, 1]
-        invjt[:, 1, 1] = j[:, 0, 0]
-        invjt /= detj[:, None, None]
-        ref = self.rule.points[:, 1:]  # (nq, 2) reference coordinates
-        phys = tri_xy[:, None, 0, :] + np.einsum("qk,tek->tqe", ref, j)
-        wdet = np.multiply.outer(detj, self.rule.weights)
-        return tri_xy, j, invjt, detj, phys, wdet
+        def batch(cells, bary, weights):
+            vals_v, grads_v = _tabulate(dofmap.pairing, "velocity",
+                                        bary.reshape(-1, 3))
+            vals_p, _ = _tabulate(dofmap.pairing, "pressure",
+                                  bary.reshape(-1, 3))
+            shape = bary.shape[:-1]
+            return _Batch(
+                points=np.einsum("...qk,...kd->...qd", bary, tri_xy[cells]),
+                weights=weights, invjt=invjt[cells],
+                cell_velocity=dofmap.cell_velocity[cells],
+                cell_pressure=dofmap.cell_pressure[cells],
+                vals_v=vals_v.reshape(shape + (-1,)),
+                grads_v=grads_v.reshape(shape + (-1, 2)),
+                vals_p=vals_p.reshape(shape + (-1,)))
 
-    def corner_layers(self, cell_row: int):
-        """Per-layer (bary, phys, wdet) data for one corner cell."""
-        mesh = self.mesh
-        tri = self.corner_rolled[cell_row]
-        p0, p1, p2 = mesh.vertices[tri]
-        parent = mesh.triangles[self.corner[cell_row]]
-        pv = mesh.vertices[parent]
-        jp = np.stack([pv[1] - pv[0], pv[2] - pv[0]], axis=1)
-        jp_inv = np.linalg.inv(jp)
-        out = []
-        for (a, b, c) in _dyadic_cells(p0, p1, p2, self.corner_levels):
-            js = np.stack([b - a, c - a], axis=1)
-            dets = js[0, 0] * js[1, 1] - js[0, 1] * js[1, 0]
-            ref = self.rule.points[:, 1:]
-            phys = a + ref @ js.T
-            loc = (phys - pv[0]) @ jp_inv.T
-            bary = np.column_stack([1 - loc.sum(axis=1), loc])
-            out.append((bary, phys, dets * self.rule.weights))
-        return out
-
-
-def _velocity_coef(dofmap: DofMap, y_h: DiscreteSolution, cells):
-    return np.ascontiguousarray(y_h.velocity[dofmap.cell_velocity[cells]])
+        at_origin = (np.hypot(*mesh.vertices.T) < 1e-14)[mesh.triangles]
+        is_corner = at_origin.any(axis=1)
+        regular = np.flatnonzero(~is_corner)
+        corner = np.flatnonzero(is_corner)
+        layers, ratio = _dyadic_layers(corner_levels)
+        sub = np.einsum("qv,mvk->mqk", rule.points, layers)
+        # barycentric column i of a layer is parent vertex (i + origin) % 3
+        origin = np.argmax(at_origin[corner], axis=1)
+        cols = (np.arange(3) - origin[:, None]) % 3
+        bary = sub[:, :, cols].transpose(2, 0, 1, 3).reshape(
+            -1, *sub.shape[1:])
+        parent = np.repeat(corner, len(ratio))
+        scale = detj[parent] * np.tile(ratio, len(corner))
+        self.batches = (
+            batch(regular, rule.points,
+                  np.multiply.outer(detj[regular], rule.weights)),
+            batch(parent, bary, np.multiply.outer(scale, rule.weights)))
 
 
 def l2_velocity_error(y_h: DiscreteSolution, sol: SingularSolution,
-                      mesh: Mesh, dofmap: DofMap,
-                      quad_degree: int = DEFAULT_QUAD_DEGREE,
-                      corner_levels: int = DEFAULT_CORNER_LEVELS) -> float:
+                      quad: ErrorQuadrature) -> float:
     """L2 norm of the velocity error against the exact singular solution."""
-    it = _Integrator(mesh, dofmap, quad_degree, corner_levels)
-    _, _, _, _, phys, wdet = it.regular_geometry()
-    exact = eval_velocity(sol, phys.reshape(-1, 2)).reshape(phys.shape)
-    coef = _velocity_coef(dofmap, y_h, it.regular)
-    total = _kernels.l2_accumulate(coef, it.vals_v,
-                                   np.ascontiguousarray(wdet),
-                                   np.ascontiguousarray(exact))
-    for row in range(len(it.corner)):
-        coef_c = _velocity_coef(dofmap, y_h, it.corner[row:row + 1])
-        for bary, phys_c, w in it.corner_layers(row):
-            vals, _ = _tabulate(dofmap.pairing, "velocity", bary)
-            approx = np.einsum("qi,ic->qc", vals, coef_c[0])
-            diff = approx - eval_velocity(sol, phys_c)
-            total += float(w @ (diff * diff).sum(axis=1))
+    total = 0.0
+    for b in quad.batches:
+        exact = eval_velocity(sol, b.points.reshape(-1, 2))
+        total += _kernels.l2_accumulate(y_h.velocity[b.cell_velocity],
+                                        b.vals_v, b.weights,
+                                        exact.reshape(b.points.shape))
     return float(np.sqrt(total))
 
 
 def h1_seminorm_velocity_error(y_h: DiscreteSolution, sol: SingularSolution,
-                               mesh: Mesh, dofmap: DofMap,
-                               quad_degree: int = DEFAULT_QUAD_DEGREE,
-                               corner_levels: int = DEFAULT_CORNER_LEVELS
-                               ) -> float:
+                               quad: ErrorQuadrature) -> float:
     """H1 seminorm of the velocity error; requires a positive exponent."""
     if sol.alpha <= 0:
         raise ValueError("exact velocity is not in H1 for alpha <= 0")
-    it = _Integrator(mesh, dofmap, quad_degree, corner_levels)
-    tri_xy, j, invjt, detj, phys, wdet = it.regular_geometry()
-    exact = eval_velocity_gradient(sol, phys.reshape(-1, 2)).reshape(
-        phys.shape[0], phys.shape[1], 2, 2)
-    coef = _velocity_coef(dofmap, y_h, it.regular)
-    total = _kernels.h1_accumulate(coef, np.ascontiguousarray(it.grads_v),
-                                   np.ascontiguousarray(invjt),
-                                   np.ascontiguousarray(wdet),
-                                   np.ascontiguousarray(exact))
-    for row in range(len(it.corner)):
-        cell = it.corner[row]
-        pv = mesh.vertices[mesh.triangles[cell]]
-        jp = np.stack([pv[1] - pv[0], pv[2] - pv[0]], axis=1)
-        inv_t = np.linalg.inv(jp).T
-        coef_c = _velocity_coef(dofmap, y_h, np.array([cell]))[0]
-        for bary, phys_c, w in it.corner_layers(row):
-            _, grads = _tabulate(dofmap.pairing, "velocity", bary)
-            g = grads @ inv_t.T  # (nq, nl, 2) physical gradients
-            gh = np.einsum("qid,ic->qcd", g, coef_c)
-            diff = gh - eval_velocity_gradient(sol, phys_c)
-            total += float(w @ (diff * diff).sum(axis=(1, 2)))
+    total = 0.0
+    for b in quad.batches:
+        exact = eval_velocity_gradient(sol, b.points.reshape(-1, 2))
+        total += _kernels.h1_accumulate(y_h.velocity[b.cell_velocity],
+                                        b.grads_v, b.invjt, b.weights,
+                                        exact.reshape(b.weights.shape
+                                                      + (2, 2)))
     return float(np.sqrt(total))
 
 
 def l2_pressure_error(y_h: DiscreteSolution, sol: SingularSolution,
-                      mesh: Mesh, dofmap: DofMap,
-                      quad_degree: int = DEFAULT_QUAD_DEGREE,
-                      corner_levels: int = DEFAULT_CORNER_LEVELS) -> float:
+                      quad: ErrorQuadrature) -> float:
     """L2 norm of the pressure error after matching both means to zero.
 
     The discrete pressure is normalized to zero mean by the multiplier row;
@@ -214,24 +182,16 @@ def l2_pressure_error(y_h: DiscreteSolution, sol: SingularSolution,
     """
     if sol.alpha <= 0:
         raise ValueError("exact pressure is not in L2 for alpha <= 0")
-    it = _Integrator(mesh, dofmap, quad_degree, corner_levels)
-    _, _, _, _, phys, wdet = it.regular_geometry()
-
-    pieces = []  # (weights, exact values, discrete values) per batch
-    exact = eval_pressure(sol, phys.reshape(-1, 2)).reshape(phys.shape[:2])
-    coefs = y_h.pressure[dofmap.cell_pressure[it.regular]]
-    approx = np.einsum("qi,ni->nq", it.vals_p, coefs)
-    pieces.append((wdet.ravel(), exact.ravel(), approx.ravel()))
-    for row in range(len(it.corner)):
-        cell = it.corner[row]
-        coef_c = y_h.pressure[dofmap.cell_pressure[cell]]
-        for bary, phys_c, w in it.corner_layers(row):
-            vals, _ = _tabulate(dofmap.pairing, "pressure", bary)
-            pieces.append((w, eval_pressure(sol, phys_c), vals @ coef_c))
-    area = mesh.polygon.area
-    mean_diff = sum(float(w @ (ex - ap)) for w, ex, ap in pieces) / area
-    total = sum(float(w @ (ex - ap - mean_diff) ** 2) for w, ex, ap in pieces)
-    return float(np.sqrt(total))
+    weights, diffs = [], []
+    for b in quad.batches:
+        exact = eval_pressure(sol, b.points.reshape(-1, 2))
+        approx = np.einsum("...qi,...i->...q", b.vals_p,
+                           y_h.pressure[b.cell_pressure])
+        weights.append(b.weights.ravel())
+        diffs.append(exact - approx.ravel())
+    w, diff = np.concatenate(weights), np.concatenate(diffs)
+    mean_diff = float(w @ diff) / quad.mesh.polygon.area
+    return float(np.sqrt(w @ (diff - mean_diff) ** 2))
 
 
 def eoc(e_coarse: float, e_fine: float) -> float:

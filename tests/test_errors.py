@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from stokesbc.assembly import DiscreteSolution
-from stokesbc.errors import (eoc, expected_order, h1_seminorm_velocity_error,
-                             l2_pressure_error, l2_velocity_error)
+from stokesbc.errors import (ErrorQuadrature, eoc, expected_order,
+                             h1_seminorm_velocity_error, l2_pressure_error,
+                             l2_velocity_error)
 from stokesbc.fe_spaces import TAYLOR_HOOD, build_dofmap
 from stokesbc.manufactured import (SingularSolution, eval_pressure,
                                    eval_velocity)
@@ -44,19 +45,22 @@ def quadratic_setup():
 def test_quadratic_field_reproduced_l2(quadratic_setup):
     sol, mesh, dofmap = quadratic_setup
     y_h = interpolant_of(sol, mesh, dofmap)
-    assert l2_velocity_error(y_h, sol, mesh, dofmap) < 1e-12
+    quad = ErrorQuadrature(mesh, dofmap)
+    assert l2_velocity_error(y_h, sol, quad) < 1e-12
 
 
 def test_quadratic_field_reproduced_h1(quadratic_setup):
     sol, mesh, dofmap = quadratic_setup
     y_h = interpolant_of(sol, mesh, dofmap)
-    assert h1_seminorm_velocity_error(y_h, sol, mesh, dofmap) < 1e-12
+    quad = ErrorQuadrature(mesh, dofmap)
+    assert h1_seminorm_velocity_error(y_h, sol, quad) < 1e-12
 
 
 def test_linear_pressure_reproduced(quadratic_setup):
     sol, mesh, dofmap = quadratic_setup
     y_h = interpolant_of(sol, mesh, dofmap)
-    assert l2_pressure_error(y_h, sol, mesh, dofmap) < 1e-12
+    quad = ErrorQuadrature(mesh, dofmap)
+    assert l2_pressure_error(y_h, sol, quad) < 1e-12
 
 
 def test_pressure_error_constant_shift_invariant(quadratic_setup):
@@ -65,8 +69,9 @@ def test_pressure_error_constant_shift_invariant(quadratic_setup):
     shifted = DiscreteSolution(velocity=y_h.velocity,
                                pressure=y_h.pressure + 17.3,
                                delta_h=0.0)
-    a = l2_pressure_error(y_h, sol, mesh, dofmap)
-    b = l2_pressure_error(shifted, sol, mesh, dofmap)
+    quad = ErrorQuadrature(mesh, dofmap)
+    a = l2_pressure_error(y_h, sol, quad)
+    b = l2_pressure_error(shifted, sol, quad)
     assert a == pytest.approx(b, abs=1e-11)
 
 
@@ -76,10 +81,11 @@ def test_h1_and_pressure_reject_nonpositive_alpha(quadratic_setup):
     y_h = DiscreteSolution(
         velocity=np.zeros((dofmap.n_scalar_velocity, 2)),
         pressure=np.zeros(dofmap.n_pressure), delta_h=0.0)
+    quad = ErrorQuadrature(mesh, dofmap)
     with pytest.raises(ValueError):
-        h1_seminorm_velocity_error(y_h, rough, mesh, dofmap)
+        h1_seminorm_velocity_error(y_h, rough, quad)
     with pytest.raises(ValueError):
-        l2_pressure_error(y_h, rough, mesh, dofmap)
+        l2_pressure_error(y_h, rough, quad)
 
 
 def zero_solution(dofmap):
@@ -97,8 +103,10 @@ def test_quadrature_degree_robustness(alpha):
     dofmap = build_dofmap(mesh, TAYLOR_HOOD)
     sol = SingularSolution(alpha=alpha, omega=3 * np.pi / 2)
     y_h = zero_solution(dofmap)  # exact norm of y itself
-    base = l2_velocity_error(y_h, sol, mesh, dofmap, quad_degree=10)
-    finer = l2_velocity_error(y_h, sol, mesh, dofmap, quad_degree=14)
+    base = l2_velocity_error(y_h, sol,
+                             ErrorQuadrature(mesh, dofmap, quad_degree=10))
+    finer = l2_velocity_error(y_h, sol,
+                              ErrorQuadrature(mesh, dofmap, quad_degree=14))
     assert abs(finer - base) / base < 1e-3
 
 
@@ -115,8 +123,10 @@ def test_corner_subdivision_robustness(alpha, omega, domain_id):
     dofmap = build_dofmap(mesh, TAYLOR_HOOD)
     sol = SingularSolution(alpha=alpha, omega=omega)
     y_h = zero_solution(dofmap)
-    base = l2_velocity_error(y_h, sol, mesh, dofmap, corner_levels=6)
-    deeper = l2_velocity_error(y_h, sol, mesh, dofmap, corner_levels=8)
+    base = l2_velocity_error(y_h, sol,
+                             ErrorQuadrature(mesh, dofmap, corner_levels=6))
+    deeper = l2_velocity_error(y_h, sol,
+                               ErrorQuadrature(mesh, dofmap, corner_levels=8))
     assert abs(deeper - base) / base < 5e-3
 
 
@@ -131,12 +141,13 @@ def test_triangle_inequality():
     interp = DiscreteSolution(
         velocity=eval_velocity(sol, dofmap.dof_points()),
         pressure=np.zeros(dofmap.n_pressure), delta_h=0.0)
-    lhs = l2_velocity_error(y_h, sol, mesh, dofmap)
-    e_interp = l2_velocity_error(interp, sol, mesh, dofmap)
+    quad = ErrorQuadrature(mesh, dofmap)
+    lhs = l2_velocity_error(y_h, sol, quad)
+    e_interp = l2_velocity_error(interp, sol, quad)
     gap = DiscreteSolution(velocity=interp.velocity - y_h.velocity,
                            pressure=np.zeros(dofmap.n_pressure), delta_h=0.0)
     zero = SingularSolution(alpha=0.0, omega=3 * np.pi / 2)
-    e_gap = l2_velocity_error(gap, zero, mesh, dofmap)
+    e_gap = l2_velocity_error(gap, zero, quad)
     assert lhs <= e_interp + e_gap + 1e-12
 
 

@@ -1,4 +1,5 @@
-"""Property tests of the trace-space approximation and the boundary rule."""
+"""Property tests of the trace-space approximation, the boundary rule and the
+error quadrature."""
 
 from functools import lru_cache
 
@@ -6,16 +7,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesbc.assembly import boundary_flux
+from stokesbc.assembly import DiscreteSolution, boundary_flux
 from stokesbc.boundary_data import (BoundaryDatum, BoundaryTrace,
                                     build_corrector, datum_flux,
                                     enforce_compatibility, trace_l2_distance,
                                     trace_of_solution)
 from stokesbc.cli import PROJECTORS
+from stokesbc.errors import (ErrorQuadrature, h1_seminorm_velocity_error,
+                             l2_pressure_error, l2_velocity_error)
 from stokesbc.fe_spaces import (build_dofmap, edge_trace_values,
                                 pairing_from_name)
-from stokesbc.manufactured import SingularSolution
-from stokesbc.mesh import build_domain, refine_uniform
+from stokesbc.manufactured import (SingularSolution, eval_pressure,
+                                   eval_velocity)
+from stokesbc.mesh import Mesh, build_domain, refine_uniform
 
 PROPERTY = settings(max_examples=25, deadline=None)
 
@@ -96,3 +100,80 @@ def test_boundary_midpoints_are_edge_midpoints(domain, level):
     fine = refine_uniform(mesh)
     assert np.array_equal(fine.boundary_edges[0::2, 1], m)
     assert np.array_equal(fine.vertices[m], midpoints)
+
+
+
+quad_degrees = st.integers(4, 14)
+corner_levels = st.integers(0, 8)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def relabelled(mesh, seed):
+    """The same mesh with each triangle's vertices shifted cyclically at
+    random, so that the origin sits at every local vertex position."""
+    shift = np.random.default_rng(seed).integers(0, 3, mesh.n_triangles)
+    local = (np.arange(3) + shift[:, None]) % 3
+    return Mesh(mesh.polygon, mesh.vertices,
+                np.take_along_axis(mesh.triangles, local, axis=1),
+                mesh.boundary_edges, mesh.boundary_parent)
+
+
+@PROPERTY
+@given(domain=domains, level=levels, pairing=pairings,
+       quad_degree=quad_degrees, corner_levels=corner_levels, seed=seeds)
+def test_error_quadrature_weights_sum_to_area(domain, level, pairing,
+                                              quad_degree, corner_levels,
+                                              seed):
+    mesh = relabelled(refined(domain, level), seed)
+    quad = ErrorQuadrature(mesh, build_dofmap(mesh, pairing), quad_degree,
+                           corner_levels)
+    total = sum(float(b.weights.sum()) for b in quad.batches)
+    assert abs(total - mesh.polygon.area) <= 1e-13 * mesh.polygon.area
+
+
+@PROPERTY
+@given(domain=domains, level=levels, quad_degree=quad_degrees,
+       corner_levels=corner_levels, seed=seeds)
+def test_corner_layers_do_not_depend_on_vertex_labels(domain, level,
+                                                      quad_degree,
+                                                      corner_levels, seed):
+    # the layers shrink toward the origin whichever local vertex it is
+    mesh = refined(domain, level)
+    corner = [ErrorQuadrature(m, build_dofmap(m, pairing_from_name("mini")),
+                              quad_degree, corner_levels).batches[1]
+              for m in (mesh, relabelled(mesh, seed))]
+    for name in ("points", "weights"):
+        np.testing.assert_allclose(getattr(corner[1], name),
+                                   getattr(corner[0], name), rtol=1e-13)
+
+
+def nodal_interpolant(sol, mesh, dm):
+    """Nodal interpolant of the exact solution (MINI bubbles left at zero,
+    exact only for a linear velocity)."""
+    velocity = eval_velocity(sol, dm.dof_points())
+    if dm.pairing.kind == "mini":
+        velocity[mesh.n_vertices:] = 0.0
+    return DiscreteSolution(velocity=velocity,
+                            pressure=eval_pressure(sol, mesh.vertices),
+                            delta_h=0.0)
+
+
+@PROPERTY
+@given(domain=domains, level=levels,
+       member=st.sampled_from([(1.0, "taylor_hood"), (1.0, "mini"),
+                               (2.0, "taylor_hood")]),
+       quad_degree=quad_degrees, corner_levels=corner_levels, seed=seeds)
+def test_error_norms_vanish_on_reproduced_members(domain, level, member,
+                                                  quad_degree, corner_levels,
+                                                  seed):
+    # alpha = 1: linear velocity, zero pressure; alpha = 2: quadratic
+    # velocity, linear pressure
+    alpha, pairing = member
+    mesh = relabelled(refined(domain, level), seed)
+    dm = build_dofmap(mesh, pairing_from_name(pairing))
+    sol = SingularSolution(alpha, mesh.polygon.corner_angle)
+    y_h = nodal_interpolant(sol, mesh, dm)
+    quad = ErrorQuadrature(mesh, dm, quad_degree, corner_levels)
+    for norm in (l2_velocity_error, h1_seminorm_velocity_error,
+                 l2_pressure_error):
+        assert norm(y_h, sol, quad) <= 1e-12
