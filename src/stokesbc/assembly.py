@@ -24,7 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .fe_spaces import DofMap, N_LOCAL_VELOCITY, _tabulate, quadrature
+from .fe_spaces import (EDGE_TRACE_GRAM, DofMap, N_LOCAL_VELOCITY, _tabulate,
+                        quadrature)
 from .mesh import Mesh
 
 __all__ = [
@@ -115,17 +116,12 @@ def assemble_boundary_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     """Gram matrix of the scalar boundary trace basis in L2 of the boundary.
 
     Rows/columns follow the ``dofmap.boundary_dofs`` ordering.  Entries are
-    exact: the trace basis is piecewise polynomial on straight edges.
+    the edge lengths times the unit-edge Gram matrix ``EDGE_TRACE_GRAM``.
     """
     lengths = mesh.boundary_edge_lengths()
-    if dofmap.pairing.kind == "taylor_hood":
-        local = np.array([[4.0, 2.0, -1.0],
-                          [2.0, 16.0, 2.0],
-                          [-1.0, 2.0, 4.0]]) / 30.0
-    else:
-        local = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+    local = EDGE_TRACE_GRAM[dofmap.pairing.kind]
     n1d = local.shape[0]
-    pos = dofmap.boundary_position[dofmap.boundary_edge_dofs]
+    pos = dofmap.boundary_edge_positions
     rows = np.repeat(pos, n1d, axis=1).ravel()
     cols = np.tile(pos, (1, n1d)).ravel()
     vals = (lengths[:, None, None] * local).ravel()
@@ -140,17 +136,13 @@ def boundary_flux(trace: np.ndarray, mesh: Mesh, dofmap: DofMap) -> float:
     """Exact boundary integral <v_h, n> of a trace coefficient array.
 
     ``trace`` has shape (n_boundary_dofs, 2) in ``boundary_dofs`` order; the
-    integrand is polynomial per edge with constant normal, so Simpson
-    (quadratic traces) or the trapezoid rule (linear traces) is exact.
+    normal is constant per edge, so each edge integral weights the trace
+    coefficients with the basis integrals <1, phi_i>.
     """
-    lengths = mesh.boundary_edge_lengths()
-    pos = dofmap.boundary_position[dofmap.boundary_edge_dofs]
-    vals = trace[pos]  # (nbe, n1d, 2)
-    if dofmap.pairing.kind == "taylor_hood":
-        edge_int = (vals[:, 0] + 4.0 * vals[:, 1] + vals[:, 2]) / 6.0
-    else:
-        edge_int = 0.5 * (vals[:, 0] + vals[:, 1])
-    edge_int *= lengths[:, None]
+    integrals = EDGE_TRACE_GRAM[dofmap.pairing.kind].sum(axis=1)
+    edge_int = np.einsum("i,eic->ec", integrals,
+                         trace[dofmap.boundary_edge_positions])
+    edge_int *= mesh.boundary_edge_lengths()[:, None]
     return float(np.einsum("ec,ec->", edge_int, mesh.boundary_normals))
 
 
@@ -253,8 +245,6 @@ def assemble_bordered_system(mesh: Mesh, dofmap: DofMap, u_h,
     ns = dofmap.n_scalar_velocity
     interior = np.concatenate([dofmap.interior_dofs,
                                ns + dofmap.interior_dofs])
-    boundary = np.concatenate([dofmap.boundary_dofs,
-                               ns + dofmap.boundary_dofs])
 
     extension = np.zeros(2 * ns)
     extension[dofmap.boundary_dofs] = trace[:, 0]

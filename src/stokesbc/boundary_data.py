@@ -25,7 +25,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_boundary_mass, boundary_flux
-from .fe_spaces import DofMap, edge_trace_values, gauss_legendre_unit
+from .fe_spaces import (EDGE_TRACE_GRAM, DofMap, edge_trace_nodes,
+                        edge_trace_values, gauss_legendre_unit)
 from .manufactured import SingularSolution, eval_velocity, velocity_from_polar
 from .mesh import Mesh
 
@@ -180,7 +181,7 @@ def _edge_moments(mesh: Mesh, dofmap: DofMap, datum: BoundaryDatum):
     edge, t, w = _boundary_rule(mesh, datum)
     vals = _datum_values(datum, mesh, edge, t)
     weighted = w[:, None] * edge_trace_values(dofmap.pairing, t)
-    rows = dofmap.boundary_position[dofmap.boundary_edge_dofs][edge].ravel()
+    rows = dofmap.boundary_edge_positions[edge].ravel()
     return np.column_stack([
         np.bincount(rows, (weighted * vals[:, None, c]).ravel(),
                     minlength=dofmap.n_boundary_dofs) for c in range(2)])
@@ -211,15 +212,11 @@ def interpolate_carstensen(u: BoundaryDatum, mesh: Mesh,
     <1, phi_j> stay positive on 1D edges.
     """
     moments = _edge_moments(mesh, dofmap, u)
-    lengths = mesh.boundary_edge_lengths()
-    pos = dofmap.boundary_position[dofmap.boundary_edge_dofs]
-    means = np.zeros(dofmap.n_boundary_dofs)
-    if dofmap.pairing.kind == "taylor_hood":
-        local = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
-    else:
-        local = np.array([0.5, 0.5])
-    np.add.at(means, pos.ravel(),
-              (lengths[:, None] * local).ravel())
+    integrals = EDGE_TRACE_GRAM[dofmap.pairing.kind].sum(axis=1)
+    means = np.bincount(
+        dofmap.boundary_edge_positions.ravel(),
+        np.outer(mesh.boundary_edge_lengths(), integrals).ravel(),
+        minlength=dofmap.n_boundary_dofs)
     return BoundaryTrace(moments / means[:, None])
 
 
@@ -230,10 +227,7 @@ def interpolate_lagrange(u: BoundaryDatum, mesh: Mesh,
     Requires the datum to be continuous at every node; evaluation at a
     declared jump location is rejected.
     """
-    if dofmap.pairing.kind == "taylor_hood":
-        params = np.array([0.0, 0.5, 1.0])
-    else:
-        params = np.array([0.0, 1.0])
+    params = edge_trace_nodes(dofmap.pairing)
     edge = np.repeat(np.arange(mesh.n_boundary_edges), len(params))
     t = np.tile(params, mesh.n_boundary_edges)
     s = (mesh.boundary_edge_offsets()[edge]
@@ -245,8 +239,8 @@ def interpolate_lagrange(u: BoundaryDatum, mesh: Mesh,
                              "Lagrange interpolation is not defined")
     coef = np.zeros((dofmap.n_boundary_dofs, 2))
     # a node shared by two edges takes the value from the later edge
-    coef[dofmap.boundary_position[dofmap.boundary_edge_dofs].ravel()] = \
-        _datum_values(u, mesh, edge, t)
+    coef[dofmap.boundary_edge_positions.ravel()] = _datum_values(u, mesh,
+                                                                edge, t)
     return BoundaryTrace(coef)
 
 
@@ -304,8 +298,7 @@ def trace_l2_distance(u: BoundaryDatum, u_h: BoundaryTrace, mesh: Mesh,
                       dofmap: DofMap) -> float:
     """L2(boundary) distance between a datum and a discrete trace."""
     edge, t, w = _boundary_rule(mesh, u)
-    pos = dofmap.boundary_position[dofmap.boundary_edge_dofs]
     approx = np.einsum("gi,gic->gc", edge_trace_values(dofmap.pairing, t),
-                       u_h.coefficients[pos[edge]])
+                       u_h.coefficients[dofmap.boundary_edge_positions[edge]])
     diff = _datum_values(u, mesh, edge, t) - approx
     return float(np.sqrt(w @ (diff * diff).sum(axis=1)))

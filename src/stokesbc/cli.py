@@ -302,12 +302,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> StudyConfig:
     config = StudyConfig()
     if args.config:
-        file_values = _read_config_file(args.config)
+        try:
+            file_values = _read_config_file(args.config)
+        except (OSError, UnicodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: "
+                              f"{exc}") from exc
         fields = {f: type(getattr(config, f)) for f in config.__dataclass_fields__}
         unknown = set(file_values) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cast = {k: fields[k](v) for k, v in file_values.items()}
+        cast = {}
+        for key, value in file_values.items():
+            try:
+                cast[key] = fields[key](value)
+            except ValueError as exc:
+                raise ConfigError(f"{args.config}: bad value for {key}: "
+                                  f"{value!r}") from exc
         config = replace(config, **cast)
     overrides = {k: v for k, v in vars(args).items()
                  if k in config.__dataclass_fields__ and v is not None}
@@ -315,7 +325,10 @@ def _config_from_args(args) -> StudyConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage or help
+        return 0 if exc.code == 0 else 1
     try:
         if args.command == "counterexample":
             report = run_counterexample()
@@ -327,18 +340,18 @@ def main(argv=None) -> int:
             target = expected_order(config.alpha_sing,
                                     DOMAIN_ANGLES[config.domain], k)
             text = emit_table(records, config.output, expected=target)
-    except (ConfigError, ValueError) as exc:
+        out_path = getattr(args, "out", None)
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ConfigError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SolveError as exc:
+    except (SolveError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     if args.command == "counterexample" and not report.passed:
         return 2
     return 0

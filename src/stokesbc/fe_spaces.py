@@ -196,6 +196,22 @@ def edge_trace_values(pairing: ElementPairing, t: np.ndarray) -> np.ndarray:
     return np.stack([1 - t, t], axis=-1)
 
 
+def edge_trace_nodes(pairing: ElementPairing) -> np.ndarray:
+    """Nodes of the 1D trace basis on [0, 1], in trace order."""
+    return np.linspace(0.0, 1.0, pairing.velocity_order + 1)
+
+
+# Gram matrix int_0^1 phi_i phi_j dt of the trace basis per pairing; its row
+# sums are the basis integrals <1, phi_i>.  Exact rationals: a Gauss rule
+# misses them by rounding.
+EDGE_TRACE_GRAM = {"taylor_hood": np.array([[4.0, 2.0, -1.0],
+                                            [2.0, 16.0, 2.0],
+                                            [-1.0, 2.0, 4.0]]) / 30.0,
+                   "mini": np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0}
+for _gram in EDGE_TRACE_GRAM.values():
+    _gram.setflags(write=False)
+
+
 class DofMap:
     """Scalar velocity and pressure dof layout for one mesh/pairing pair.
 
@@ -214,9 +230,11 @@ class DofMap:
         Scalar velocity dofs on the boundary, ordered along the boundary
         traversal: for each chained boundary edge its start vertex, then (for
         Taylor-Hood) its midpoint dof.
-    boundary_edge_dofs : (nbe, 2 or 3) int array
-        Per boundary edge the scalar dofs in 1D trace order
-        (start, [mid,] end).
+    boundary_edge_positions : (nbe, k + 1) int array
+        Per boundary edge the positions of its trace dofs in
+        ``boundary_dofs``, in 1D trace order (start, [mid,] end).
+    boundary_edge_dofs : (nbe, k + 1) int array
+        ``boundary_dofs[boundary_edge_positions]``.
     """
 
     def __init__(self, mesh: Mesh, pairing: ElementPairing):
@@ -226,20 +244,25 @@ class DofMap:
         tris = mesh.triangles
 
         self.n_edges = len(mesh.edges)
-        a, b = mesh.boundary_edges.T
+        a = mesh.boundary_edges[:, 0]
 
         if pairing.kind == "taylor_hood":
             self.n_scalar_velocity = nv + self.n_edges
             self.cell_velocity = np.hstack([tris, nv + mesh.triangle_edges])
             m = nv + mesh.boundary_edge_ids
             self.boundary_dofs = np.column_stack([a, m]).ravel()
-            self.boundary_edge_dofs = np.column_stack([a, m, b])
         else:
             self.n_scalar_velocity = nv + mesh.n_triangles
             bubble = nv + np.arange(mesh.n_triangles)[:, None]
             self.cell_velocity = np.hstack([tris, bubble])
             self.boundary_dofs = a.copy()
-            self.boundary_edge_dofs = mesh.boundary_edges.copy()
+        # the boundary chain's edge e ends where edge e + 1 starts
+        k = pairing.velocity_order
+        self.boundary_edge_positions = (
+            k * np.arange(mesh.n_boundary_edges)[:, None]
+            + np.arange(k + 1)) % len(self.boundary_dofs)
+        self.boundary_edge_dofs = self.boundary_dofs[
+            self.boundary_edge_positions]
         self.cell_pressure = tris.copy()
         self.n_pressure = nv
 
@@ -247,11 +270,6 @@ class DofMap:
         mask[self.boundary_dofs] = True
         self.boundary_mask = mask
         self.interior_dofs = np.where(~mask)[0]
-        # position of each boundary scalar dof within boundary_dofs
-        self.boundary_position = np.full(self.n_scalar_velocity, -1,
-                                         dtype=np.int64)
-        self.boundary_position[self.boundary_dofs] = np.arange(
-            len(self.boundary_dofs))
 
     @property
     def n_boundary_dofs(self) -> int:

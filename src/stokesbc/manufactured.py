@@ -186,28 +186,13 @@ def solve_xi(omega: float) -> float:
     def f(lam):
         return np.sin(lam * omega) ** 2 - lam ** 2 * np.sin(omega) ** 2
 
-    # scan for the first sign change, then bisect to 1e-12
-    n_scan = 4096
-    grid = 0.5 + 0.5 * np.arange(1, n_scan + 1) / n_scan
-    lo = 0.5
-    flo = f(lo)
-    hi = None
-    for x in grid:
-        fx = f(x)
-        if fx == 0.0:
-            return float(x)
-        if flo * fx < 0.0:
-            hi = x
-            break
-        lo, flo = x, fx
-    if hi is None:
+    # imported here: scipy.optimize adds about 0.2 s to the package import
+    from scipy.optimize import brentq
+    # the first sign change on a 4096-interval scan brackets the smallest root
+    grid = 0.5 + 0.5 * np.arange(4097) / 4096
+    values = f(grid)
+    change = np.flatnonzero(values[:-1] * values[1:] <= 0.0)
+    if not len(change):
         raise ValueError("no sign change of the exponent equation in (1/2, 1)")
-    fhi = f(hi)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if flo * fm <= 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    i = change[0]
+    return float(brentq(f, grid[i], grid[i + 1], xtol=1e-15))

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
-from stokesbc import _kernels, cli
+from stokesbc import _kernels, assembly, cli, fe_spaces
+from stokesbc import boundary_data as bd
+from stokesbc import mesh as mesh_mod
 from stokesbc.assembly import compute_delta_h
 from stokesbc.boundary_data import trace_of_solution
 from stokesbc.cli import (DOMAIN_ANGLES, ConfigError, StudyConfig,
@@ -154,6 +157,45 @@ def test_config_file_unknown_key(tmp_path):
     assert main(["convergence", "--config", str(cfg), "--levels", "2"]) == 1
 
 
+def test_config_file_bad_value_names_key(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("levels = x\n")
+    assert main(["convergence", "--config", str(cfg)]) == 1
+    assert "levels" in capsys.readouterr().err
+
+
+def test_missing_config_file_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["convergence", "--config", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.txt"
+    assert main(["counterexample", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["convergence", "--domain", "foo"], 1),
+    (["counterexample", "--levels", "2"], 1),
+    ([], 1),
+    (["--help"], 0),
+])
+def test_argument_parsing_exit_codes(argv, code, capsys):
+    assert main(argv) == code
+
+
+def test_numerical_value_error_exit_code(monkeypatch, capsys):
+    def failing(datum, mesh, dofmap):
+        raise ValueError("boundary projection residual 1e-03 too large")
+
+    monkeypatch.setitem(cli.PROJECTORS, "l2", failing)
+    assert main(["convergence", "--levels", "2"]) == 2
+    assert "residual" in capsys.readouterr().err
+
+
 def test_records_carry_solver_report():
     config = StudyConfig(domain="convex", levels=2)
     records = run_convergence(config)
@@ -189,6 +231,29 @@ def test_names_the_benchmark_binds(monkeypatch):
     records = run_convergence(StudyConfig(domain="convex", pairing="mini",
                                           levels=2))
     assert len(calls) == len(records) == 2
+
+
+def test_trace_study_call_forms_the_benchmark_binds():
+    # perfbench/round.py's trace study calls these by module attribute with
+    # positional arguments, so a signature change breaks the benchmark
+    mesh = mesh_mod.refine_uniform(mesh_mod.build_domain("nonconvex"))
+    datum = bd.trace_of_solution(mesh.polygon,
+                                 SingularSolution(0.5, 3 * np.pi / 2))
+    assert np.isfinite(bd.datum_flux(datum, mesh))
+    for name in ("taylor_hood", "mini"):
+        dm = fe_spaces.build_dofmap(mesh, fe_spaces.pairing_from_name(name))
+        correctors = [bd.build_corrector(kind, mesh, dm)
+                      for kind in ("affine_field", "projected_normal")]
+        for project in (bd.project_l2, bd.interpolate_carstensen,
+                        bd.interpolate_lagrange):
+            u_h = project(datum, mesh, dm)
+            assert bd.trace_l2_distance(datum, u_h, mesh, dm) > 0
+            for corrector in correctors:
+                fixed = bd.enforce_compatibility(u_h, corrector, mesh, dm)
+                assert np.isfinite(bd.trace_l2_distance(datum, fixed, mesh,
+                                                        dm))
+                assert abs(assembly.boundary_flux(fixed.coefficients, mesh,
+                                                  dm)) <= 1e-12
 
 
 def test_cli_output_deterministic(tmp_path):

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from stokesbc.assembly import DiscreteSolution, boundary_flux
 from stokesbc.boundary_data import (BoundaryDatum, BoundaryTrace,
                                     build_corrector, datum_flux,
-                                    enforce_compatibility, trace_l2_distance,
-                                    trace_of_solution)
+                                    enforce_compatibility,
+                                    interpolate_carstensen,
+                                    interpolate_lagrange, project_l2,
+                                    trace_l2_distance, trace_of_solution)
 from stokesbc.cli import PROJECTORS
 from stokesbc.errors import (ErrorQuadrature, h1_seminorm_velocity_error,
                              l2_pressure_error, l2_velocity_error)
-from stokesbc.fe_spaces import (build_dofmap, edge_trace_values,
-                                pairing_from_name)
+from stokesbc.fe_spaces import (build_dofmap, edge_trace_nodes,
+                                edge_trace_values, pairing_from_name)
 from stokesbc.manufactured import (SingularSolution, eval_pressure,
                                    eval_velocity)
 from stokesbc.mesh import Mesh, build_domain, refine_uniform
@@ -55,7 +57,7 @@ def test_corrected_trace_has_zero_flux(domain, level, pairing, projector,
 
 def discrete_trace_datum(u_h, mesh, dm, jumps, singular):
     """Datum that evaluates the discrete trace ``u_h`` on the polygon."""
-    pos = dm.boundary_position[dm.boundary_edge_dofs]
+    pos = dm.boundary_edge_positions
     offsets = mesh.boundary_edge_offsets()
     lengths = mesh.boundary_edge_lengths()
 
@@ -87,6 +89,57 @@ def test_boundary_rule_is_exact_on_discrete_traces(domain, level, pairing,
     assert abs(datum_flux(datum, mesh)
                - boundary_flux(u_h.coefficients, mesh, dm)) <= 1e-12
     assert trace_l2_distance(datum, u_h, mesh, dm) <= 1e-12
+
+
+@PROPERTY
+@given(domain=domains, level=levels, pairing=pairings,
+       seed=st.integers(0, 2**32 - 1), singular=st.booleans(),
+       jump_edge=st.integers(0, 5), jump_at=st.floats(0.01, 0.99))
+def test_projectors_reproduce_discrete_traces(domain, level, pairing, seed,
+                                              singular, jump_edge, jump_at):
+    mesh = refined(domain, level)
+    dm = build_dofmap(mesh, pairing)
+    rng = np.random.default_rng(seed)
+    u_h = BoundaryTrace(rng.standard_normal((dm.n_boundary_dofs, 2)))
+    edge = jump_edge % mesh.polygon.n_edges
+    jump = jump_at * mesh.polygon.edge_lengths[edge]
+    datum = discrete_trace_datum(u_h, mesh, dm, ((edge, jump),), singular)
+    nodes = (mesh.boundary_edge_offsets()[:, None]
+             + np.outer(mesh.boundary_edge_lengths(),
+                        edge_trace_nodes(pairing)))
+    on_jump = np.abs(nodes[mesh.boundary_parent == edge] - jump) < 1e-12
+    projectors = [project_l2]
+    if not on_jump.any():  # Lagrange interpolation rejects a node on a jump
+        projectors.append(interpolate_lagrange)
+    scale = np.abs(u_h.coefficients).max()
+    for project in projectors:
+        coef = project(datum, mesh, dm).coefficients
+        assert np.abs(coef - u_h.coefficients).max() <= 1e-12 * scale
+
+
+@PROPERTY
+@given(domain=domains, level=levels, pairing=pairings,
+       value=st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+       singular=st.booleans())
+def test_weighted_average_reproduces_constants(domain, level, pairing, value,
+                                               singular):
+    mesh = refined(domain, level)
+    dm = build_dofmap(mesh, pairing)
+    datum = BoundaryDatum(
+        evaluate=lambda edge, s: np.tile(value, (np.size(s), 1)),
+        smoothness=0.49, singular_at_corner=singular)
+    coef = interpolate_carstensen(datum, mesh, dm).coefficients
+    np.testing.assert_allclose(coef, np.tile(value, (dm.n_boundary_dofs, 1)),
+                               rtol=1e-12, atol=1e-12 * max(map(abs, value)))
+
+
+@PROPERTY
+@given(domain=domains, level=st.integers(0, 4), pairing=pairings)
+def test_edge_positions_follow_the_boundary_chain(domain, level, pairing):
+    mesh = refined(domain, level)
+    dm = build_dofmap(mesh, pairing)
+    edge_dofs = dm.boundary_dofs[dm.boundary_edge_positions]
+    assert np.array_equal(edge_dofs[:, [0, -1]], mesh.boundary_edges)
 
 
 @PROPERTY
