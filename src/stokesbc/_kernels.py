@@ -27,8 +27,9 @@ def local_matrices(tri_xy, grad_v, vals_p, qw):
     Parameters
     ----------
     tri_xy : (nt, 3, 2) vertex coordinates
-    grad_v : (nq, nl, 2) reference gradients of the velocity basis
-    vals_p : (nq, 3) values of the pressure basis
+    grad_v : (nq, nl, 2) reference gradients of the velocity basis, shared
+        by all elements, or (nt, nq, nl, 2)
+    vals_p : (nq, 3) values of the pressure basis, or (nt, nq, 3)
     qw : (nq,) reference quadrature weights
 
     Returns
@@ -38,9 +39,15 @@ def local_matrices(tri_xy, grad_v, vals_p, qw):
     detj : (nt,) Jacobian determinants (= 2 x area)
     """
     detj, invjt = affine_jacobians(tri_xy)
-    g = np.einsum("tde,qie->tqid", invjt, grad_v)
-    kloc = np.einsum("q,tqid,tqjd,t->tij", qw, g, g, detj, optimize=True)
-    dloc = np.einsum("q,qi,tqjc,t->tcij", qw, vals_p, g, detj, optimize=True)
+    # physical gradients g[t, j, q, d], one row of nq * 2 entries per basis
+    # function, so the stiffness is one (nl, 2 nq) x (2 nq, nl) product
+    g = np.swapaxes(grad_v, -2, -3) @ np.swapaxes(invjt, 1, 2)[:, None]
+    rows = g.reshape(g.shape[:2] + (-1,))
+    kloc = (rows * np.repeat(qw, 2)) @ np.swapaxes(rows, 1, 2)
+    kloc *= detj[:, None, None]
+    wp = np.swapaxes(qw[:, None] * vals_p, -1, -2)  # (..., 3, nq)
+    dloc = wp[..., None, :, :] @ np.transpose(g, (0, 3, 2, 1))
+    dloc *= detj[:, None, None, None]
     return kloc, dloc, detj
 
 
@@ -52,8 +59,9 @@ def l2_accumulate(coef, vals_v, wdet, exact):
     wdet : (nc, nq) physical weights (reference weight x detJ)
     exact : (nc, nq, 2) exact values at the mapped points
     """
-    diff = np.einsum("...qi,...ic->...qc", vals_v, coef) - exact
-    return float(np.einsum("nq,nqc->", wdet, diff * diff))
+    diff = vals_v @ coef
+    diff -= exact
+    return float(np.einsum("nq,nqc,nqc->", wdet, diff, diff))
 
 
 def h1_accumulate(coef, grad_v, invjt, wdet, exact_grad):
@@ -66,6 +74,11 @@ def h1_accumulate(coef, grad_v, invjt, wdet, exact_grad):
     The coefficients are contracted with the reference gradients before the
     map to physical gradients, so no (nc, nq, nl, 2) array is formed.
     """
-    gref = np.einsum("...qie,...ic->...qce", grad_v, coef)
-    diff = np.einsum("nde,nqce->nqcd", invjt, gref) - exact_grad
-    return float(np.einsum("nq,nqcd->", wdet, diff * diff))
+    nc = len(coef)
+    table = np.swapaxes(grad_v, -2, -3)              # (..., nl, nq, 2)
+    table = table.reshape(table.shape[:-2] + (-1,))
+    gref = np.swapaxes(coef, 1, 2) @ table           # [n, c, (q, e)]
+    diff = gref.reshape(nc, -1, 2) @ np.swapaxes(invjt, 1, 2)
+    diff = diff.reshape(nc, 2, -1, 2)                # [n, c, q, d]
+    diff -= np.swapaxes(exact_grad, 1, 2)
+    return float(np.einsum("nq,ncqd,ncqd->", wdet, diff, diff))

@@ -181,6 +181,22 @@ class BorderedSystem:
         half = self.n_interior // 2
         return sp.csc_matrix(self.A[:half, :half])
 
+    @property
+    def pressure_mass(self) -> sp.csc_matrix:
+        """Consistent mass matrix of the nodal P1 pressure basis.
+
+        Its local matrix is ``area / 12 (1 + delta_ij)``, so its row sums are
+        the basis integrals ``s``.
+        """
+        cells = self.dofmap.cell_pressure
+        local = (np.ones((3, 3)) + np.eye(3)) / 12.0
+        vals = self.mesh.triangle_areas()[:, None, None] * local
+        n = self.dofmap.n_pressure
+        return sp.csc_matrix((vals.ravel(),
+                              (np.repeat(cells, 3, axis=1).ravel(),
+                               np.tile(cells, (1, 3)).ravel())),
+                             shape=(n, n))
+
     def matrix(self) -> sp.csr_matrix:
         top = sp.coo_matrix(([self.alpha_reg], ([0], [0])), shape=(1, 1))
         srow = sp.csr_matrix(self.s[None, :])

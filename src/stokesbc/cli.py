@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 configuration/validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -125,7 +126,8 @@ def run_convergence(config: StudyConfig) -> list[ConvergenceRecord]:
             err_l2_velocity=l2_velocity_error(y_h, sol, quad),
             delta_h=system.delta_target,
             solver_iterations=report.iterations,
-            solver_residual=report.residual_norm)
+            solver_residual=report.residual_norm,
+            solver_factor_nnz=report.factor_nnz)
         if with_h1:
             rec.err_h1_velocity = h1_seminorm_velocity_error(y_h, sol, quad)
             rec.err_l2_pressure = l2_pressure_error(y_h, sol, quad)
@@ -324,12 +326,28 @@ def _config_from_args(args) -> StudyConfig:
     return replace(config, **overrides)
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError unless ``path`` can be opened for writing.
+
+    Append mode neither truncates an existing file nor keeps a new one: a
+    file the check creates is removed again.
+    """
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed usage or help
         return 0 if exc.code == 0 else 1
+    out_path = getattr(args, "out", None)
     try:
+        if out_path:
+            _check_writable(out_path)  # before the run, not after it
         if args.command == "counterexample":
             report = run_counterexample()
             text = "\n".join(report.lines()) + "\n"
@@ -340,7 +358,6 @@ def main(argv=None) -> int:
             target = expected_order(config.alpha_sing,
                                     DOMAIN_ANGLES[config.domain], k)
             text = emit_table(records, config.output, expected=target)
-        out_path = getattr(args, "out", None)
         if out_path:
             with open(out_path, "w", encoding="utf-8") as handle:
                 handle.write(text)

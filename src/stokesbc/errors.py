@@ -55,6 +55,7 @@ class ConvergenceRecord:
     # from the level's LinearSolveReport; the residual is the absolute 2-norm
     solver_iterations: int | None = None
     solver_residual: float | None = None
+    solver_factor_nnz: int | None = None
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ class ErrorQuadrature:
                                   bary.reshape(-1, 3))
             shape = bary.shape[:-1]
             return _Batch(
-                points=np.einsum("...qk,...kd->...qd", bary, tri_xy[cells]),
+                points=bary @ tri_xy[cells],
                 weights=weights, invjt=invjt[cells],
                 cell_velocity=dofmap.cell_velocity[cells],
                 cell_pressure=dofmap.cell_pressure[cells],

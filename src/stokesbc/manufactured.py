@@ -74,37 +74,60 @@ def _polar(sol: SingularSolution, points: np.ndarray):
     return pts, r, theta
 
 
-def _profiles(sol: SingularSolution, theta: np.ndarray):
+def _angles(sol: SingularSolution, t: np.ndarray):
+    """(cos, sin) pairs of t, a t, a (w - t), w - t, a (w - t) + t, (a - 1) t.
+
+    Six transcendental calls; the last three pairs follow by angle addition.
+    """
     a, w = sol.alpha, sol.omega
-    t = theta
-    phi1 = (-np.sin(a * t) * np.cos(w)
-            - a * np.sin(t) * np.cos(a * (w - t) + t)
-            + a * np.sin(w - t) * np.cos(a * t - t)
-            + np.sin(a * (w - t)))
-    phi2 = (-np.sin(a * t) * np.sin(w)
-            - a * np.sin(t) * np.sin(a * (w - t) + t)
-            - a * np.sin(w - t) * np.sin(a * t - t))
+    ct, st = np.cos(t), np.sin(t)
+    cat, sat = np.cos(a * t), np.sin(a * t)
+    u = a * (w - t)
+    cu, su = np.cos(u), np.sin(u)
+    cw, sw = np.cos(w), np.sin(w)
+    return ((ct, st), (cat, sat), (cu, su),
+            (cw * ct + sw * st, sw * ct - cw * st),
+            (cu * ct - su * st, su * ct + cu * st),
+            (cat * ct + sat * st, sat * ct - cat * st))
+
+
+def _profiles(sol: SingularSolution, theta: np.ndarray):
+    """Angular profiles Phi1, Phi2 of the module docstring."""
+    return _profiles_from(sol, _angles(sol, theta))
+
+
+def _profiles_from(sol: SingularSolution, angles):
+    """Phi1, Phi2 from the (cos, sin) pairs of ``_angles``."""
+    a, w = sol.alpha, sol.omega
+    (_, st), (_, sat), (_, su), (_, s_wt), (c_in, s_in), (c_out, s_out) = \
+        angles
+    phi1 = -sat * np.cos(w) - a * st * c_in + a * s_wt * c_out + su
+    phi2 = -sat * np.sin(w) - a * st * s_in - a * s_wt * s_out
     return phi1, phi2
 
 
-def _profile_derivatives(sol: SingularSolution, theta: np.ndarray):
-    """Angular derivatives dPhi1/dtheta, dPhi2/dtheta."""
+def _profiles_and_derivatives(sol: SingularSolution, theta: np.ndarray):
+    """Phi1, Phi2, dPhi1/dtheta, dPhi2/dtheta, cos theta and sin theta.
+
+    The angles a (w - t) + t and (a - 1) t have derivatives 1 - a and a - 1.
+    """
     a, w = sol.alpha, sol.omega
-    t = theta
-    inner = a * (w - t) + t          # derivative 1 - a
-    outer = (a - 1.0) * t            # derivative a - 1
-    dphi1 = (-a * np.cos(a * t) * np.cos(w)
-             - a * np.cos(t) * np.cos(inner)
-             + a * (1.0 - a) * np.sin(t) * np.sin(inner)
-             - a * np.cos(w - t) * np.cos(outer)
-             - a * (a - 1.0) * np.sin(w - t) * np.sin(outer)
-             - a * np.cos(a * (w - t)))
-    dphi2 = (-a * np.cos(a * t) * np.sin(w)
-             - a * np.cos(t) * np.sin(inner)
-             - a * (1.0 - a) * np.sin(t) * np.cos(inner)
-             + a * np.cos(w - t) * np.sin(outer)
-             - a * (a - 1.0) * np.sin(w - t) * np.cos(outer))
-    return dphi1, dphi2
+    angles = _angles(sol, theta)
+    (ct, st), (cat, _), (cu, _), (c_wt, s_wt), (c_in, s_in), (c_out, s_out) \
+        = angles
+    phi1, phi2 = _profiles_from(sol, angles)
+    dphi1 = (-a * cat * np.cos(w)
+             - a * ct * c_in
+             + a * (1.0 - a) * st * s_in
+             - a * c_wt * c_out
+             - a * (a - 1.0) * s_wt * s_out
+             - a * cu)
+    dphi2 = (-a * cat * np.sin(w)
+             - a * ct * s_in
+             - a * (1.0 - a) * st * c_in
+             + a * c_wt * s_out
+             - a * (a - 1.0) * s_wt * c_out)
+    return phi1, phi2, dphi1, dphi2, ct, st
 
 
 def velocity_from_polar(sol: SingularSolution, r, theta) -> np.ndarray:
@@ -157,9 +180,7 @@ def eval_velocity_gradient(sol: SingularSolution, points) -> np.ndarray:
     if np.any(r == 0.0) and sol.alpha < 1.0:
         raise ValueError("velocity gradient is singular at the corner")
     a = sol.alpha
-    phi1, phi2 = _profiles(sol, theta)
-    dphi1, dphi2 = _profile_derivatives(sol, theta)
-    c, s = np.cos(theta), np.sin(theta)
+    phi1, phi2, dphi1, dphi2, c, s = _profiles_and_derivatives(sol, theta)
     ra1 = r ** (a - 1.0)
     out = np.empty((len(pts), 2, 2))
     for i, (phi, dphi) in enumerate(((phi1, dphi1), (phi2, dphi2))):

@@ -1,17 +1,21 @@
 """Solution of the bordered system.
 
 The default, ``block_minres``, runs MINRES with the block-diagonal Stokes
-preconditioner ``diag(max(alpha, 1), A^{-1}, diag(s)^{-1})`` (Silvester &
+preconditioner ``diag(max(alpha, 1), A^{-1}, M_p^{-1})`` (Silvester &
 Wathen 1994; Elman, Silvester & Wathen, *Finite Elements and Fast Iterative
 Solvers*, ch. 4): ``A^{-1}`` is applied through one sparse factorisation of
-the SPD velocity block and ``s`` is the lumped pressure mass.  Its iteration
-count does not grow with refinement.  ``direct_factorization`` is a sparse
-LU of the whole indefinite matrix, kept as the small-system reference.
+the SPD velocity block and ``M_p`` is the consistent P1 pressure mass, also
+factorised once.  The Schur complement ``B A^{-1} B^T`` is spectrally
+equivalent to ``M_p`` with the inf-sup constants as bounds; the lumped mass
+``diag(s)`` would add the spread of ``M_p`` against its diagonal (Wathen
+1987).  The iteration count does not grow with refinement.
+``direct_factorization`` is a sparse LU of the whole indefinite matrix, kept
+as the small-system reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +40,10 @@ class LinearSolveReport:
     residual_norm: float
     method: str
     iterations: int
+    # entries SuperLU stores for L and U (``SuperLU.nnz``; reading ``L`` and
+    # ``U`` would copy both factors): of the whole matrix for
+    # direct_factorization, of K and M_p for block_minres
+    factor_nnz: int = 0
 
 
 class SolveError(RuntimeError):
@@ -54,16 +62,19 @@ def solve_linear(matrix, rhs: np.ndarray, tol: float = DEFAULT_TOL,
     if tol <= 0:
         raise ValueError("tol must be positive")
     rhs = np.asarray(rhs, dtype=float)
-    matrix = sp.csc_matrix(matrix)
-    iterations = 0
+    iterations = factor_nnz = 0
     if method == "direct_factorization":
+        matrix = sp.csc_matrix(matrix)
         try:
-            x = spla.splu(matrix).solve(rhs)
+            lu = spla.splu(matrix)
         except _FACTOR_ERRORS as exc:
             raise SolveError(f"direct factorization failed: {exc}") from exc
+        x = lu.solve(rhs)
+        factor_nnz = lu.nnz
     elif method == "block_minres":
         if preconditioner is None:
             raise ValueError("block_minres needs a preconditioner")
+        matrix = sp.csr_matrix(matrix)
         x, iterations = _restarted_minres(matrix, rhs, tol, preconditioner)
     else:
         raise ValueError(f"unknown solve method {method!r}")
@@ -78,7 +89,7 @@ def solve_linear(matrix, rhs: np.ndarray, tol: float = DEFAULT_TOL,
     if scale == 0 and residual > tol:
         raise SolveError(f"residual {residual:.3e} exceeds tol {tol:.1e}")
     return x, LinearSolveReport(residual_norm=residual, method=method,
-                                iterations=iterations)
+                                iterations=iterations, factor_nnz=factor_nnz)
 
 
 def _restarted_minres(matrix, rhs, tol, preconditioner):
@@ -87,22 +98,26 @@ def _restarted_minres(matrix, rhs, tol, preconditioner):
     MINRES stops on the preconditioned residual relative to ``||A|| ||x||``.
     On rough data (large pressures near the corner) that lets the Euclidean
     relative residual end above ``tol``; each restart solves ``A d = r`` for
-    the current residual ``r`` and adds the correction.
+    the current residual ``r`` and adds the correction.  Every pass aims at
+    the first pass's absolute accuracy, so a restart from a residual just
+    above the target takes a few iterations, not a full solve.
     """
     counter = _IterationCounter()
     x = np.zeros_like(rhs)
     residual = rhs
     target = tol * np.linalg.norm(rhs)
     for _ in range(MINRES_RESTARTS):
-        correction, info = spla.minres(matrix, residual, rtol=tol * 1e-3,
+        norm = np.linalg.norm(residual)
+        if norm <= target:
+            break
+        correction, info = spla.minres(matrix, residual,
+                                       rtol=1e-3 * target / norm,
                                        maxiter=MINRES_MAXITER,
                                        M=preconditioner, callback=counter)
         if info != 0:
             raise SolveError(f"MINRES did not converge (info={info})")
         x += correction
         residual = rhs - matrix @ x
-        if np.linalg.norm(residual) <= target:
-            break
     return x, counter.count
 
 
@@ -114,39 +129,47 @@ class _IterationCounter:
         self.count += 1
 
 
-def _block_preconditioner(system: BorderedSystem) -> spla.LinearOperator:
-    """SPD operator ``diag(max(alpha, 1), A^{-1}, diag(s)^{-1})``.
+def _factorize_spd(matrix, what: str):
+    """Sparse LU of an SPD matrix, pivoting on the diagonal only."""
+    try:
+        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0, options={"SymmetricMode": True})
+    except _FACTOR_ERRORS as exc:
+        raise SolveError(f"{what} factorization failed: {exc}") from exc
+
+
+def _block_preconditioner(system: BorderedSystem):
+    """SPD operator ``diag(max(alpha, 1), A^{-1}, M_p^{-1})`` and its fill.
 
     ``A`` is ``block_diag(K, K)`` for the interior scalar stiffness ``K``
     (``BorderedSystem.scalar_stiffness``), so only ``K`` is factorised and
-    both velocity components are solved as one two-column system.
+    both velocity components are solved as one two-column system.  ``M_p``
+    is ``BorderedSystem.pressure_mass``.  Returns the operator and the
+    entries stored by both factorisations.
     """
-    scalar = system.scalar_stiffness
-    half = scalar.shape[0]
-    try:
-        lu = spla.splu(scalar, permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0, options={"SymmetricMode": True})
-    except _FACTOR_ERRORS as exc:
-        raise SolveError(
-            f"velocity block factorization failed: {exc}") from exc
+    lu = _factorize_spd(system.scalar_stiffness, "velocity block")
+    mass = _factorize_spd(system.pressure_mass, "pressure mass")
+    half = lu.shape[0]
     alpha = max(system.alpha_reg, 1.0)
-    s = system.s
 
     def apply(v):
         v = np.ravel(v)
         velocity = lu.solve(v[1:1 + 2 * half].reshape(2, half).T)
         return np.concatenate([v[:1] / alpha, velocity.T.ravel(),
-                               v[1 + 2 * half:] / s])
+                               mass.solve(v[1 + 2 * half:])])
 
-    n = 1 + 2 * half + len(s)
-    return spla.LinearOperator((n, n), matvec=apply, dtype=float)
+    n = 1 + 2 * half + mass.shape[0]
+    operator = spla.LinearOperator((n, n), matvec=apply, dtype=float)
+    return operator, lu.nnz + mass.nnz
 
 
 def solve(system: BorderedSystem, tol: float = DEFAULT_TOL,
           method: str = "block_minres"):
     """Solve a bordered system; returns (DiscreteSolution, LinearSolveReport)."""
-    precond = _block_preconditioner(system) if method == "block_minres" \
-        else None
+    precond, fill = (_block_preconditioner(system)
+                     if method == "block_minres" else (None, 0))
     x, report = solve_linear(system.matrix(), system.rhs(), tol=tol,
                              method=method, preconditioner=precond)
+    if precond is not None:
+        report = replace(report, factor_nnz=fill)
     return system.unpack(x), report

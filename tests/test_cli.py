@@ -177,6 +177,32 @@ def test_unwritable_output_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_unwritable_output_fails_before_the_study(monkeypatch, tmp_path,
+                                                  capsys):
+    def study_must_not_run(config):
+        pytest.fail("the study ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_convergence", study_must_not_run)
+    out = tmp_path / "missing" / "x"
+    assert main(["convergence", "--levels", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_failed_study_leaves_output_path_alone(monkeypatch, tmp_path,
+                                               existing):
+    def failing(config):
+        raise cli.SolveError("MINRES did not converge")
+
+    monkeypatch.setattr(cli, "run_convergence", failing)
+    out = tmp_path / "table.csv"
+    if existing:
+        out.write_text("earlier table\n")
+    assert main(["convergence", "--levels", "2", "--out", str(out)]) == 2
+    assert (out.read_text() == "earlier table\n" if existing
+            else not out.exists())
+
+
 @pytest.mark.parametrize("argv,code", [
     (["convergence", "--domain", "foo"], 1),
     (["counterexample", "--levels", "2"], 1),
@@ -209,6 +235,7 @@ def test_records_carry_solver_report():
         assert r.delta_h == compute_delta_h(u_h, mesh, dofmap)
         assert r.solver_iterations > 0
         assert 0.0 <= r.solver_residual < 1e-8
+        assert r.solver_factor_nnz > 0
 
 
 def test_names_the_benchmark_binds(monkeypatch):

@@ -1,5 +1,5 @@
-"""Property tests of the trace-space approximation, the boundary rule and the
-error quadrature."""
+"""Property tests of the trace-space approximation, the boundary rule, the
+error quadrature, the solver, the kernels and the singular profiles."""
 
 from functools import lru_cache
 
@@ -7,21 +7,25 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesbc.assembly import DiscreteSolution, boundary_flux
+from stokesbc import _kernels
+from stokesbc.assembly import (DiscreteSolution, assemble_bordered_system,
+                               boundary_flux)
 from stokesbc.boundary_data import (BoundaryDatum, BoundaryTrace,
                                     build_corrector, datum_flux,
                                     enforce_compatibility,
                                     interpolate_carstensen,
                                     interpolate_lagrange, project_l2,
                                     trace_l2_distance, trace_of_solution)
-from stokesbc.cli import PROJECTORS
+from stokesbc.cli import DOMAIN_ANGLES, PROJECTORS
 from stokesbc.errors import (ErrorQuadrature, h1_seminorm_velocity_error,
                              l2_pressure_error, l2_velocity_error)
 from stokesbc.fe_spaces import (build_dofmap, edge_trace_nodes,
                                 edge_trace_values, pairing_from_name)
-from stokesbc.manufactured import (SingularSolution, eval_pressure,
-                                   eval_velocity)
+from stokesbc.manufactured import (SingularSolution,
+                                   _profiles, _profiles_and_derivatives,
+                                   eval_pressure, eval_velocity)
 from stokesbc.mesh import Mesh, build_domain, refine_uniform
+from stokesbc.solver import solve
 
 PROPERTY = settings(max_examples=25, deadline=None)
 
@@ -230,3 +234,131 @@ def test_error_norms_vanish_on_reproduced_members(domain, level, member,
     for norm in (l2_velocity_error, h1_seminorm_velocity_error,
                  l2_pressure_error):
         assert norm(y_h, sol, quad) <= 1e-12
+
+
+def random_system(domain, level, pairing, seed, alpha_reg=1.0):
+    mesh = refined(domain, level)
+    dm = build_dofmap(mesh, pairing)
+    trace = np.random.default_rng(seed).standard_normal(
+        (dm.n_boundary_dofs, 2))
+    return assemble_bordered_system(mesh, dm, trace, alpha_reg=alpha_reg)
+
+
+@PROPERTY
+@given(domain=domains, level=st.integers(1, 3), pairing=pairings, seed=seeds)
+def test_block_minres_matches_direct_and_alpha_reg(domain, level, pairing,
+                                                   seed):
+    direct, _ = solve(random_system(domain, level, pairing, seed),
+                      method="direct_factorization")
+    scale = max(np.abs(direct.velocity).max(), np.abs(direct.pressure).max(),
+                abs(direct.delta_h))
+    for alpha_reg in (1.0, 0.0):
+        minres, report = solve(random_system(domain, level, pairing, seed,
+                                             alpha_reg))
+        assert report.method == "block_minres"
+        assert np.abs(minres.velocity - direct.velocity).max() \
+            <= 1e-9 * scale
+        assert np.abs(minres.pressure - direct.pressure).max() \
+            <= 1e-9 * scale
+        assert abs(minres.delta_h - direct.delta_h) <= 1e-9 * scale
+
+
+@PROPERTY
+@given(domain=domains, level=st.integers(0, 4), pairing=pairings)
+def test_pressure_mass_is_symmetric_with_rows_summing_to_s(domain, level,
+                                                           pairing):
+    system = random_system(domain, level, pairing, seed=0)
+    mass = system.pressure_mass
+    assert abs(mass - mass.T).max() == 0.0
+    rows = np.asarray(mass.sum(axis=1)).ravel()
+    assert np.abs(rows - system.s).max() <= 1e-15 * np.abs(system.s).max()
+
+
+def reference_local_matrices(tri_xy, grad_v, vals_p, qw):
+    nt = len(tri_xy)
+    grad_v = np.broadcast_to(grad_v, (nt,) + grad_v.shape[-3:])
+    vals_p = np.broadcast_to(vals_p, (nt,) + vals_p.shape[-2:])
+    detj, invjt = _kernels.affine_jacobians(tri_xy)
+    g = np.einsum("tde,tqie->tqid", invjt, grad_v)
+    kloc = np.einsum("q,tqid,tqjd,t->tij", qw, g, g, detj)
+    dloc = np.einsum("q,tqi,tqjc,t->tcij", qw, vals_p, g, detj)
+    return kloc, dloc, detj
+
+
+def reference_l2(coef, vals_v, wdet, exact):
+    vals_v = np.broadcast_to(vals_v, (len(coef),) + vals_v.shape[-2:])
+    diff = np.einsum("nqi,nic->nqc", vals_v, coef) - exact
+    return np.einsum("nq,nqc->", wdet, diff ** 2)
+
+
+def reference_h1(coef, grad_v, invjt, wdet, exact_grad):
+    grad_v = np.broadcast_to(grad_v, (len(coef),) + grad_v.shape[-3:])
+    gref = np.einsum("nqie,nic->nqce", grad_v, coef)
+    diff = np.einsum("nde,nqce->nqcd", invjt, gref) - exact_grad
+    return np.einsum("nq,nqcd->", wdet, diff ** 2)
+
+
+@PROPERTY
+@given(n=st.integers(1, 40), nq=st.integers(1, 16),
+       nl=st.sampled_from([3, 4, 6]), shared=st.booleans(), seed=seeds)
+def test_kernels_match_einsum_references(n, nq, nl, shared, seed):
+    rng = np.random.default_rng(seed)
+    table = () if shared else (n,)
+    tri_xy = rng.standard_normal((n, 3, 2))
+    grad_v = rng.standard_normal(table + (nq, nl, 2))
+    vals_v = rng.standard_normal(table + (nq, nl))
+    vals_p = rng.standard_normal(table + (nq, 3))
+    qw = rng.random(nq)
+    coef = rng.standard_normal((n, nl, 2))
+    wdet = rng.random((n, nq))
+    invjt = rng.standard_normal((n, 2, 2))
+
+    got = _kernels.local_matrices(tri_xy, grad_v, vals_p, qw)
+    for value, ref in zip(got, reference_local_matrices(tri_xy, grad_v,
+                                                        vals_p, qw)):
+        assert value.shape == ref.shape
+        assert np.abs(value - ref).max() <= 1e-13 * np.abs(ref).max()
+    exact = rng.standard_normal((n, nq, 2))
+    ref = reference_l2(coef, vals_v, wdet, exact)
+    assert abs(_kernels.l2_accumulate(coef, vals_v, wdet, exact) - ref) \
+        <= 1e-13 * ref
+    exact_grad = rng.standard_normal((n, nq, 2, 2))
+    ref = reference_h1(coef, grad_v, invjt, wdet, exact_grad)
+    assert abs(_kernels.h1_accumulate(coef, grad_v, invjt, wdet, exact_grad)
+               - ref) <= 1e-13 * ref
+
+
+def docstring_profiles(a, w, t):
+    """Phi1, Phi2 as written in the manufactured module docstring; ``t`` may
+    be complex."""
+    phi1 = (-np.sin(a * t) * np.cos(w)
+            - a * np.sin(t) * np.cos(a * (w - t) + t)
+            + a * np.sin(w - t) * np.cos(a * t - t)
+            + np.sin(a * (w - t)))
+    phi2 = (-np.sin(a * t) * np.sin(w)
+            - a * np.sin(t) * np.sin(a * (w - t) + t)
+            - a * np.sin(w - t) * np.sin(a * t - t))
+    return np.array([phi1, phi2])
+
+
+@PROPERTY
+@given(a=st.floats(-1.0, 3.0, exclude_min=True, exclude_max=True).filter(
+           lambda a: a == 0.0 or abs(a) >= 1e-6),  # no underflowing steps
+       omega=st.sampled_from(sorted(DOMAIN_ANGLES.values())), seed=seeds)
+def test_profiles_match_the_docstring_formulas(a, omega, seed):
+    theta = np.concatenate([[0.0, omega], np.random.default_rng(seed).uniform(
+        0.0, omega, 64)])
+    sol = SingularSolution(a, omega)
+    phi = docstring_profiles(a, omega, theta)
+    # complex-step derivative: exact up to rounding, no cancellation
+    step = 1e-30
+    dphi = docstring_profiles(a, omega, theta + 1j * step).imag / step
+    phi1, phi2, dphi1, dphi2, cos, sin = _profiles_and_derivatives(sol,
+                                                                   theta)
+    tol = 1e-14 * np.abs(phi).max()
+    assert np.abs(np.array(_profiles(sol, theta)) - phi).max() <= tol
+    assert np.abs(np.array([phi1, phi2]) - phi).max() <= tol
+    assert np.abs(np.array([dphi1, dphi2]) - dphi).max() \
+        <= 1e-14 * np.abs(dphi).max()
+    assert np.array_equal(cos, np.cos(theta))
+    assert np.array_equal(sin, np.sin(theta))

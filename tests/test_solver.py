@@ -166,3 +166,13 @@ def test_scalar_stiffness_is_the_velocity_block_layout():
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         solve_linear(sp.eye(2).tocsr(), np.ones(2), method="gmres")
+
+
+def test_report_counts_factor_fill():
+    system = stokes_system()
+    _, direct = solve(system, method="direct_factorization")
+    assert direct.factor_nnz == spla.splu(sp.csc_matrix(system.matrix())).nnz
+    # SuperLU drops no entry, so the factors hold at least the matrix's
+    _, minres = solve(system)
+    blocks = (system.scalar_stiffness, system.pressure_mass)
+    assert minres.factor_nnz >= sum(b.nnz for b in blocks)
