@@ -56,17 +56,14 @@ class BoundaryDatum:
 
     ``evaluate(edge, s)`` returns the 2-vector value at arclength ``s``
     (vectorized over ``s``) measured from the start vertex of polygon edge
-    ``edge``.  ``smoothness`` is the Sobolev exponent hint t; ``jumps`` lists
-    known interior discontinuities as (edge, arclength) pairs so integration
-    can split there; ``singular_at_corner`` marks data that blow up or lose
-    smoothness toward the origin corner, triggering dyadic subdivision of the
-    two incident edges.
+    ``edge``.  ``jumps`` lists known interior discontinuities as (edge,
+    arclength) pairs so integration can split there.  Every datum is
+    integrated with the rule graded into the origin corner, where the study
+    data are singular.
     """
 
     evaluate: Callable[[int, np.ndarray], np.ndarray]
-    smoothness: float
     jumps: Sequence = field(default_factory=tuple)
-    singular_at_corner: bool = True
 
 
 @dataclass
@@ -111,8 +108,7 @@ def trace_of_solution(polygon, sol: SingularSolution) -> BoundaryDatum:
             return velocity_from_polar(sol, np.abs(last_len - s), sol.omega)
         return eval_velocity(sol, polygon.point_on_edge(edge, s))
 
-    return BoundaryDatum(evaluate=evaluate, smoothness=0.5 + sol.alpha,
-                         jumps=(), singular_at_corner=True)
+    return BoundaryDatum(evaluate=evaluate)
 
 
 def _boundary_rule(mesh: Mesh, datum: BoundaryDatum):
@@ -120,9 +116,11 @@ def _boundary_rule(mesh: Mesh, datum: BoundaryDatum):
 
     Returns ``(edge, t, w)``: the boundary edge of each point, its parameter
     ``t`` in [0, 1] along that edge and its arclength weight.  Boundary
-    edges are cut at the declared jump points and, for data singular at the
-    corner, into ``CORNER_LEVELS`` dyadic layers on the two edges at the
-    origin; every segment gets ``GAUSS_POINTS`` points.
+    edges are cut at the declared jump points and into ``CORNER_LEVELS``
+    dyadic layers on the two edges at the origin, for every datum: the
+    layers resolve the corner singularity of the study data and cost a
+    smooth datum only extra points.  Every segment gets ``GAUSS_POINTS``
+    points.
     """
     lengths = mesh.boundary_edge_lengths()
     offsets = mesh.boundary_edge_offsets()
@@ -136,16 +134,15 @@ def _boundary_rule(mesh: Mesh, datum: BoundaryDatum):
               & (local < lengths * (1 - 1e-14)))
         cut_edge.append(every[on])
         cut_at.append(local[on])
-    if datum.singular_at_corner:
-        # the origin is the start of polygon edge 0 and the end of the last
-        last = mesh.polygon.n_edges - 1
-        ends_at_origin = np.abs(offsets + lengths
-                                - mesh.polygon.edge_lengths[last]) < 1e-12
-        dyadic = 0.5 ** np.arange(1, CORNER_LEVELS + 1)
-        for on, layers in (((parents == 0) & (offsets < 1e-14), dyadic),
-                           ((parents == last) & ends_at_origin, 1.0 - dyadic)):
-            cut_edge.append(np.repeat(every[on], CORNER_LEVELS))
-            cut_at.append(np.outer(lengths[on], layers).ravel())
+    # the origin is the start of polygon edge 0 and the end of the last
+    last = mesh.polygon.n_edges - 1
+    ends_at_origin = np.abs(offsets + lengths
+                            - mesh.polygon.edge_lengths[last]) < 1e-12
+    dyadic = 0.5 ** np.arange(1, CORNER_LEVELS + 1)
+    for on, layers in (((parents == 0) & (offsets < 1e-14), dyadic),
+                       ((parents == last) & ends_at_origin, 1.0 - dyadic)):
+        cut_edge.append(np.repeat(every[on], CORNER_LEVELS))
+        cut_at.append(np.outer(lengths[on], layers).ravel())
     cut_edge, cut_at = np.concatenate(cut_edge), np.concatenate(cut_at)
     order = np.lexsort((cut_at, cut_edge))
     cut_edge, cut_at = cut_edge[order], cut_at[order]
@@ -276,9 +273,7 @@ def build_corrector(kind: str, mesh: Mesh,
             n = mesh.polygon.edge_normals[edge]
             return np.broadcast_to(n, (np.size(s), 2)).copy()
 
-        datum = BoundaryDatum(evaluate=evaluate, smoothness=0.49,
-                              jumps=(), singular_at_corner=False)
-        trace = project_l2(datum, mesh, dofmap)
+        trace = project_l2(BoundaryDatum(evaluate), mesh, dofmap)
     else:
         raise ValueError(f"unknown corrector kind {kind!r}")
     flux = boundary_flux(trace.coefficients, mesh, dofmap)

@@ -191,8 +191,7 @@ def counterexample_datum() -> BoundaryDatum:
             out[:, 0] = (1.0 - s >= 0.5).astype(float)
         return out
 
-    return BoundaryDatum(evaluate=evaluate, smoothness=0.49,
-                         jumps=((2, 0.5),), singular_at_corner=False)
+    return BoundaryDatum(evaluate=evaluate, jumps=((2, 0.5),))
 
 
 def run_counterexample() -> CounterexampleReport:
@@ -354,9 +353,9 @@ def main(argv=None) -> int:
         else:
             config = _config_from_args(args)
             records = run_convergence(config)
-            k = 2 if config.pairing == "taylor_hood" else 1
-            target = expected_order(config.alpha_sing,
-                                    DOMAIN_ANGLES[config.domain], k)
+            target = expected_order(
+                config.alpha_sing, DOMAIN_ANGLES[config.domain],
+                pairing_from_name(config.pairing).velocity_order)
             text = emit_table(records, config.output, expected=target)
         if out_path:
             with open(out_path, "w", encoding="utf-8") as handle:

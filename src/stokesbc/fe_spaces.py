@@ -33,25 +33,27 @@ __all__ = [
 ]
 
 MAX_QUAD_DEGREE = 20
+_VELOCITY_ORDER = {"taylor_hood": 2, "mini": 1}
 
 
 @dataclass(frozen=True)
 class ElementPairing:
-    """Velocity/pressure element pairing with velocity approximation order k."""
+    """Velocity/pressure element pairing of the given ``kind``."""
 
     kind: str
-    velocity_order: int
 
     def __post_init__(self):
-        expected = {"taylor_hood": 2, "mini": 1}
-        if self.kind not in expected:
+        if self.kind not in _VELOCITY_ORDER:
             raise ValueError(f"unknown pairing {self.kind!r}")
-        if self.velocity_order != expected[self.kind]:
-            raise ValueError(f"{self.kind} pairing has k={expected[self.kind]}")
+
+    @property
+    def velocity_order(self) -> int:
+        """Velocity approximation order k: 2 (Taylor-Hood) or 1 (MINI)."""
+        return _VELOCITY_ORDER[self.kind]
 
 
-TAYLOR_HOOD = ElementPairing("taylor_hood", 2)
-MINI = ElementPairing("mini", 1)
+TAYLOR_HOOD = ElementPairing("taylor_hood")
+MINI = ElementPairing("mini")
 
 
 def pairing_from_name(name: str) -> ElementPairing:
@@ -80,37 +82,28 @@ class QuadratureRule:
 def quadrature(degree: int) -> QuadratureRule:
     """Positive-weight rule exact to the requested total degree (1..20).
 
-    Degree 1 is the centroid rule and degree 2 the classic symmetric 3-point
-    rule; higher degrees use the collapsed Gauss-Legendre x Gauss-Jacobi
-    product, whose weights are positive for every degree.  Rules are cached
-    per degree; their arrays are read-only, so callers can share them.
+    Every degree uses the collapsed Gauss-Legendre x Gauss-Jacobi product
+    with ``(degree + 2) // 2`` points per direction, whose weights are
+    positive; at degree 1 it is the centroid rule.  Rules are cached per
+    degree; their arrays are read-only, so callers can share them.
     """
     if not 1 <= degree <= MAX_QUAD_DEGREE:
         raise ValueError(f"quadrature degree {degree} not in [1, {MAX_QUAD_DEGREE}]")
-    if degree == 1:
-        pts = np.array([[1 / 3, 1 / 3, 1 / 3]])
-        wts = np.array([0.5])
-    elif degree == 2:
-        pts = np.array([[2 / 3, 1 / 6, 1 / 6],
-                        [1 / 6, 2 / 3, 1 / 6],
-                        [1 / 6, 1 / 6, 2 / 3]])
-        wts = np.full(3, 1 / 6)
-    else:
-        n = (degree + 2) // 2
-        # x-direction absorbs the Jacobian factor (1 - x) of the collapsed map
-        xj, wj = roots_jacobi(n, 1.0, 0.0)
-        xg, wg = np.polynomial.legendre.leggauss(n)
-        # mapping [-1,1] -> [0,1] turns the Jacobi weight (1-t) into 2(1-x)
-        # and contributes dt = 2dx, so the pair picks up a net factor 1/8
-        xj = 0.5 * (xj + 1.0)
-        wj = wj / 4.0
-        xg = 0.5 * (xg + 1.0)
-        wg = 0.5 * wg
-        x = np.repeat(xj, n)
-        eta = np.tile(xg, n)
-        y = eta * (1.0 - x)
-        pts = np.column_stack([1.0 - x - y, x, y])
-        wts = np.repeat(wj, n) * np.tile(wg, n)
+    n = (degree + 2) // 2
+    # x-direction absorbs the Jacobian factor (1 - x) of the collapsed map
+    xj, wj = roots_jacobi(n, 1.0, 0.0)
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    # mapping [-1,1] -> [0,1] turns the Jacobi weight (1-t) into 2(1-x)
+    # and contributes dt = 2dx, so the pair picks up a net factor 1/8
+    xj = 0.5 * (xj + 1.0)
+    wj = wj / 4.0
+    xg = 0.5 * (xg + 1.0)
+    wg = 0.5 * wg
+    x = np.repeat(xj, n)
+    eta = np.tile(xg, n)
+    y = eta * (1.0 - x)
+    pts = np.column_stack([1.0 - x - y, x, y])
+    wts = np.repeat(wj, n) * np.tile(wg, n)
     pts.setflags(write=False)
     wts.setflags(write=False)
     return QuadratureRule(pts, wts, degree)

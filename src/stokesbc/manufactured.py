@@ -55,12 +55,12 @@ def _polar(sol: SingularSolution, points: np.ndarray):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r = np.hypot(pts[:, 0], pts[:, 1])
-    at_origin = r == 0.0
-    if np.any(at_origin) and sol.alpha <= 0.0:
+    if np.any(r == 0.0) and sol.alpha <= 0.0:
         raise ValueError("singular solution with alpha <= 0 evaluated at the "
                          "corner")
+    # arctan2(0, 0) = 0: at the origin every defined field is angle-free
     theta = np.arctan2(pts[:, 1], pts[:, 0])
-    theta = np.where(theta < 0.0, theta + 2.0 * np.pi, theta)
+    np.add(theta, 2.0 * np.pi, out=theta, where=theta < 0.0)
     # fold round-off exterior angles back onto the bounding rays; the angular
     # slack matches an absolute distance tolerance, so it widens like 1/r
     with np.errstate(divide="ignore"):
@@ -68,7 +68,6 @@ def _polar(sol: SingularSolution, points: np.ndarray):
     theta = np.where((theta > sol.omega) & (theta > 2.0 * np.pi - tol),
                      0.0, theta)
     theta = np.where(np.abs(theta - sol.omega) < tol, sol.omega, theta)
-    theta = np.where(at_origin, 0.0, theta)
     if np.any(theta > sol.omega):
         raise ValueError("point outside the sector [0, omega]")
     return pts, r, theta

@@ -40,7 +40,8 @@ class Polygon:
     corner_angle: float
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = np.array(self.vertices, dtype=float)  # a private, frozen copy
+        v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValueError("polygon needs an (n, 2) vertex array with n >= 3")

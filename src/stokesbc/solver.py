@@ -1,21 +1,21 @@
 """Solution of the bordered system.
 
-The default, ``block_minres``, runs MINRES with the block-diagonal Stokes
-preconditioner ``diag(max(alpha, 1), A^{-1}, M_p^{-1})`` (Silvester &
-Wathen 1994; Elman, Silvester & Wathen, *Finite Elements and Fast Iterative
-Solvers*, ch. 4): ``A^{-1}`` is applied through one sparse factorisation of
-the SPD velocity block and ``M_p`` is the consistent P1 pressure mass, also
-factorised once.  The Schur complement ``B A^{-1} B^T`` is spectrally
-equivalent to ``M_p`` with the inf-sup constants as bounds; the lumped mass
-``diag(s)`` would add the spread of ``M_p`` against its diagonal (Wathen
-1987).  The iteration count does not grow with refinement.
-``direct_factorization`` is a sparse LU of the whole indefinite matrix, kept
-as the small-system reference.
+``solve`` runs MINRES with the block-diagonal Stokes preconditioner
+``diag(max(alpha, 1), A^{-1}, M_p^{-1})`` (Silvester & Wathen 1994; Elman,
+Silvester & Wathen, *Finite Elements and Fast Iterative Solvers*, ch. 4):
+``A^{-1}`` is applied through one sparse factorisation of the SPD velocity
+block and ``M_p`` is the consistent P1 pressure mass, also factorised once.
+The Schur complement ``B A^{-1} B^T`` is spectrally equivalent to ``M_p``
+with the inf-sup constants as bounds; the lumped mass ``diag(s)`` would add
+the spread of ``M_p`` against its diagonal (Wathen 1987).  The iteration
+count does not grow with refinement.  ``solve_linear`` is a sparse LU of a
+whole indefinite matrix, kept as the small-system reference.  Both check
+the residual of their result against ``tol``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +31,9 @@ MINRES_RESTARTS = 3
 # SuperLU reports running out of memory as SystemError ("gstrf was called
 # with invalid arguments") or MemoryError
 _FACTOR_ERRORS = (RuntimeError, ValueError, SystemError, MemoryError)
+# sparse LU of an SPD matrix, pivoting on the diagonal only
+_SPD = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+            options={"SymmetricMode": True})
 
 
 @dataclass(frozen=True)
@@ -43,41 +46,45 @@ class LinearSolveReport:
     # entries SuperLU stores for L and U (``SuperLU.nnz``; reading ``L`` and
     # ``U`` would copy both factors): of the whole matrix for
     # direct_factorization, of K and M_p for block_minres
-    factor_nnz: int = 0
+    factor_nnz: int
 
 
 class SolveError(RuntimeError):
     """Structural singularity or non-convergence of the linear solve."""
 
 
-def solve_linear(matrix, rhs: np.ndarray, tol: float = DEFAULT_TOL,
-                 method: str = "direct_factorization",
-                 preconditioner: spla.LinearOperator | None = None):
-    """Solve a sparse symmetric indefinite system to relative residual tol.
+def solve_linear(matrix, rhs: np.ndarray, tol: float = DEFAULT_TOL):
+    """Solve a sparse indefinite system by LU to relative residual ``tol``.
 
-    ``direct_factorization`` uses a sparse LU with partial pivoting and a
-    fill-reducing column ordering; ``block_minres`` runs MINRES with the
-    given SPD ``preconditioner`` (``solve`` builds it for a bordered system).
+    Partial pivoting and a fill-reducing column ordering; the report's
+    method is ``direct_factorization``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    matrix = sp.csc_matrix(matrix)
     rhs = np.asarray(rhs, dtype=float)
-    iterations = factor_nnz = 0
-    if method == "direct_factorization":
-        matrix = sp.csc_matrix(matrix)
-        try:
-            lu = spla.splu(matrix)
-        except _FACTOR_ERRORS as exc:
-            raise SolveError(f"direct factorization failed: {exc}") from exc
-        x = lu.solve(rhs)
-        factor_nnz = lu.nnz
-    elif method == "block_minres":
-        if preconditioner is None:
-            raise ValueError("block_minres needs a preconditioner")
-        matrix = sp.csr_matrix(matrix)
-        x, iterations = _restarted_minres(matrix, rhs, tol, preconditioner)
-    else:
-        raise ValueError(f"unknown solve method {method!r}")
+    lu = _factorize(matrix, "direct")
+    x = lu.solve(rhs)
+    return x, _report(matrix, rhs, x, tol, "direct_factorization", 0, lu.nnz)
+
+
+def solve(system: BorderedSystem, tol: float = DEFAULT_TOL):
+    """Solve a bordered system by block-preconditioned MINRES.
+
+    Returns (DiscreteSolution, LinearSolveReport); the report's method is
+    ``block_minres``.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    precond, fill = _block_preconditioner(system)
+    matrix, rhs = system.matrix(), system.rhs()
+    x, iterations = _restarted_minres(matrix, rhs, tol, precond)
+    report = _report(matrix, rhs, x, tol, "block_minres", iterations, fill)
+    return system.unpack(x), report
+
+
+def _report(matrix, rhs, x, tol, method, iterations, factor_nnz):
+    """Reject a non-finite or inaccurate ``x``; report its residual."""
     if not np.all(np.isfinite(x)):
         raise SolveError("solver produced non-finite values "
                          "(structurally singular system?)")
@@ -88,8 +95,8 @@ def solve_linear(matrix, rhs: np.ndarray, tol: float = DEFAULT_TOL,
             f"relative residual {residual / scale:.3e} exceeds tol {tol:.1e}")
     if scale == 0 and residual > tol:
         raise SolveError(f"residual {residual:.3e} exceeds tol {tol:.1e}")
-    return x, LinearSolveReport(residual_norm=residual, method=method,
-                                iterations=iterations, factor_nnz=factor_nnz)
+    return LinearSolveReport(residual_norm=residual, method=method,
+                             iterations=iterations, factor_nnz=factor_nnz)
 
 
 def _restarted_minres(matrix, rhs, tol, preconditioner):
@@ -129,11 +136,9 @@ class _IterationCounter:
         self.count += 1
 
 
-def _factorize_spd(matrix, what: str):
-    """Sparse LU of an SPD matrix, pivoting on the diagonal only."""
+def _factorize(matrix, what: str, **options):
     try:
-        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0, options={"SymmetricMode": True})
+        return spla.splu(matrix, **options)
     except _FACTOR_ERRORS as exc:
         raise SolveError(f"{what} factorization failed: {exc}") from exc
 
@@ -147,8 +152,8 @@ def _block_preconditioner(system: BorderedSystem):
     is ``BorderedSystem.pressure_mass``.  Returns the operator and the
     entries stored by both factorisations.
     """
-    lu = _factorize_spd(system.scalar_stiffness, "velocity block")
-    mass = _factorize_spd(system.pressure_mass, "pressure mass")
+    lu = _factorize(system.scalar_stiffness, "velocity block", **_SPD)
+    mass = _factorize(system.pressure_mass, "pressure mass", **_SPD)
     half = lu.shape[0]
     alpha = max(system.alpha_reg, 1.0)
 
@@ -161,15 +166,3 @@ def _block_preconditioner(system: BorderedSystem):
     n = 1 + 2 * half + mass.shape[0]
     operator = spla.LinearOperator((n, n), matvec=apply, dtype=float)
     return operator, lu.nnz + mass.nnz
-
-
-def solve(system: BorderedSystem, tol: float = DEFAULT_TOL,
-          method: str = "block_minres"):
-    """Solve a bordered system; returns (DiscreteSolution, LinearSolveReport)."""
-    precond, fill = (_block_preconditioner(system)
-                     if method == "block_minres" else (None, 0))
-    x, report = solve_linear(system.matrix(), system.rhs(), tol=tol,
-                             method=method, preconditioner=precond)
-    if precond is not None:
-        report = replace(report, factor_nnz=fill)
-    return system.unpack(x), report

@@ -168,8 +168,7 @@ def test_criterion_09_defect_decay():
         return np.column_stack([x ** 3 + np.exp(x) * np.cos(y),
                                 -3 * x ** 2 * y - np.exp(x) * np.sin(y)])
 
-    datum = BoundaryDatum(evaluate=evaluate, smoothness=2.5, jumps=(),
-                          singular_at_corner=False)
+    datum = BoundaryDatum(evaluate)
     decayed = []
     for _ in range(6):
         mesh = refine_uniform(mesh)

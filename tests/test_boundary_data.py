@@ -21,13 +21,12 @@ def square_p1():
     return mesh, build_dofmap(mesh, MINI)
 
 
-def polynomial_datum(polygon, fx, fy, smoothness=2.5):
+def polynomial_datum(polygon, fx, fy):
     def evaluate(edge, s):
         p = polygon.point_on_edge(edge, s)
         return np.column_stack([fx(p[:, 0], p[:, 1]), fy(p[:, 0], p[:, 1])])
 
-    return BoundaryDatum(evaluate=evaluate, smoothness=smoothness,
-                         jumps=(), singular_at_corner=False)
+    return BoundaryDatum(evaluate)
 
 
 def solenoidal_datum(polygon):

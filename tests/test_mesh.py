@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from stokesbc.mesh import (boundary_arclength, build_domain, dump_mesh,
-                           refine_uniform, unit_square)
+from stokesbc.mesh import (Polygon, boundary_arclength, build_domain,
+                           dump_mesh, refine_uniform, unit_square)
 
 
 @pytest.fixture(params=["convex", "nonconvex"])
@@ -32,6 +32,21 @@ def test_nonconvex_edge_normal():
     mesh = build_domain("nonconvex")
     # polygon edge from (1,0) to (1,1) has outward normal (1,0)
     assert np.allclose(mesh.polygon.edge_normals[1], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("mesh", [build_domain("convex"),
+                                  build_domain("nonconvex"), unit_square()],
+                         ids=["convex", "nonconvex", "unit_square"])
+def test_polygon_vertices_are_read_only(mesh):
+    with pytest.raises(ValueError):
+        mesh.polygon.vertices[1, 0] = 2.0
+
+
+def test_polygon_keeps_its_own_vertices():
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    polygon = Polygon(vertices, corner_angle=np.pi / 2)
+    vertices[1, 0] = 2.0
+    assert polygon.area == 0.5
 
 
 def test_unknown_domain_rejected():

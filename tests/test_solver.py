@@ -41,6 +41,8 @@ def test_residual_contract():
 def test_invalid_tol():
     with pytest.raises(ValueError):
         solve_linear(sp.eye(2).tocsr(), np.ones(2), tol=0.0)
+    with pytest.raises(ValueError):
+        solve(stokes_system(), tol=0.0)
 
 
 def test_singular_system_reported():
@@ -98,7 +100,8 @@ def test_block_minres_agrees_with_direct(pairing, domain_id, alpha_reg):
     rng = np.random.default_rng(47)
     trace = rng.standard_normal((dm.n_boundary_dofs, 2))
     system = assemble_bordered_system(mesh, dm, trace, alpha_reg=alpha_reg)
-    sol_direct, _ = solve(system, method="direct_factorization")
+    x, _ = solve_linear(system.matrix(), system.rhs())
+    sol_direct = system.unpack(x)
     sol_minres, report = solve(system)
     assert report.method == "block_minres"
     assert report.iterations > 0
@@ -120,13 +123,13 @@ def test_block_minres_iterations_mesh_independent():
     assert iterations[3] <= 1.1 * iterations[2]
 
 
-def test_block_minres_needs_preconditioner():
-    with pytest.raises(ValueError):
-        solve_linear(sp.eye(2).tocsr(), np.ones(2), method="block_minres")
+SOLVES = {"block_minres": solve,
+          "direct_factorization": lambda system: solve_linear(
+              system.matrix(), system.rhs())}
 
 
 @pytest.mark.parametrize("error", [SystemError, MemoryError])
-@pytest.mark.parametrize("method", ["block_minres", "direct_factorization"])
+@pytest.mark.parametrize("method", sorted(SOLVES))
 def test_factorization_out_of_memory_is_solve_error(monkeypatch, method,
                                                     error):
     # SuperLU reports exhausted memory as SystemError from gstrf
@@ -137,7 +140,7 @@ def test_factorization_out_of_memory_is_solve_error(monkeypatch, method,
 
     monkeypatch.setattr(spla, "splu", out_of_memory)
     with pytest.raises(SolveError):
-        solve(system, method=method)
+        SOLVES[method](system)
 
 
 def test_factorization_out_of_memory_exit_code(monkeypatch, capsys):
@@ -163,14 +166,9 @@ def test_scalar_stiffness_is_the_velocity_block_layout():
         assert abs(system.A - sp.block_diag([k, k])).max() == 0.0
 
 
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        solve_linear(sp.eye(2).tocsr(), np.ones(2), method="gmres")
-
-
 def test_report_counts_factor_fill():
     system = stokes_system()
-    _, direct = solve(system, method="direct_factorization")
+    _, direct = solve_linear(system.matrix(), system.rhs())
     assert direct.factor_nnz == spla.splu(sp.csc_matrix(system.matrix())).nnz
     # SuperLU drops no entry, so the factors hold at least the matrix's
     _, minres = solve(system)
