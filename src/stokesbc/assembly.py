@@ -3,8 +3,9 @@
 The discrete problem couples three unknowns: the divergence defect scalar
 ``delta``, the interior velocity ``y0`` (boundary dofs are eliminated by
 restriction to interior rows), and the full nodal pressure ``p``.  With
-``A`` the interior stiffness block, ``B`` the (negated) divergence block and
-``s`` the vector of pressure-basis integrals, the assembled matrix is
+``A = diag(K, K)`` the interior stiffness block, ``K`` the scalar one, ``B``
+the (negated) divergence block and ``s`` the vector of pressure-basis
+integrals, the assembled matrix is
 
     [ alpha  0^T  s^T ]
     [   0     A   B^T ]
@@ -63,7 +64,8 @@ def assemble_stiffness(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     The two components do not couple, so the matrix is block diagonal with
     two copies of the scalar stiffness matrix.
     """
-    return _stiffness_matrix(_local_blocks(mesh, dofmap)[0], dofmap)
+    scalar = _stiffness_matrix(_local_blocks(mesh, dofmap)[0], dofmap)
+    return sp.block_diag([scalar, scalar], format="csr")
 
 
 def assemble_divergence(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
@@ -76,6 +78,7 @@ def assemble_divergence(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
 
 
 def _stiffness_matrix(kloc, dofmap: DofMap) -> sp.csr_matrix:
+    """Scalar stiffness matrix over all scalar velocity dofs."""
     nl = N_LOCAL_VELOCITY[dofmap.pairing.kind]
     keep = np.ones((nl, nl), dtype=bool)
     if dofmap.pairing.kind == "mini":
@@ -90,9 +93,7 @@ def _stiffness_matrix(kloc, dofmap: DofMap) -> sp.csr_matrix:
     ns = dofmap.n_scalar_velocity
     scalar = sp.coo_matrix((vals, (rows, cols)), shape=(ns, ns)).tocsr()
     scalar.sum_duplicates()
-    full = sp.block_diag([scalar, scalar], format="csr")
-    full.sort_indices()
-    return full
+    return scalar
 
 
 def _divergence_matrix(dloc, dofmap: DofMap) -> sp.csr_matrix:
@@ -154,9 +155,14 @@ def compute_delta_h(u_h, mesh: Mesh, dofmap: DofMap) -> float:
 
 @dataclass
 class BorderedSystem:
-    """Blocks and right-hand side of the bordered saddle-point system."""
+    """Blocks and right-hand side of the bordered saddle-point system.
 
-    A: sp.csr_matrix
+    ``K`` is the interior scalar stiffness.  The interior velocity unknowns
+    are component-major (see ``unpack``) and the components do not couple,
+    so the velocity block is ``A = diag(K, K)``.
+    """
+
+    K: sp.csc_matrix
     B: sp.csr_matrix
     s: np.ndarray
     alpha_reg: float
@@ -168,18 +174,12 @@ class BorderedSystem:
     boundary_values: np.ndarray  # (n_boundary_dofs, 2) prescribed trace
 
     @property
-    def n_interior(self) -> int:
-        return self.A.shape[0]
+    def A(self) -> sp.coo_matrix:
+        """Velocity block ``diag(K, K)``, built on each access.
 
-    @property
-    def scalar_stiffness(self) -> sp.csc_matrix:
-        """Interior scalar stiffness ``K``; the velocity block is diag(K, K).
-
-        The interior velocity unknowns are component-major (see ``unpack``)
-        and the components do not couple, so ``A`` holds two copies of ``K``.
+        COO, the format ``sp.bmat`` in ``matrix`` works in.
         """
-        half = self.n_interior // 2
-        return sp.csc_matrix(self.A[:half, :half])
+        return sp.block_diag([self.K, self.K])
 
     @property
     def pressure_mass(self) -> sp.csc_matrix:
@@ -216,16 +216,12 @@ class BorderedSystem:
 
     def unpack(self, x: np.ndarray) -> "DiscreteSolution":
         dm = self.dofmap
-        ns = dm.n_scalar_velocity
-        delta = float(x[0])
-        y0 = x[1:1 + self.n_interior]
-        p = x[1 + self.n_interior:]
-        velocity = np.zeros((ns, 2))
-        half = self.n_interior // 2
-        velocity[dm.interior_dofs, 0] = y0[:half]
-        velocity[dm.interior_dofs, 1] = y0[half:]
+        y0, p = np.split(x[1:], [2 * len(dm.interior_dofs)])
+        velocity = np.zeros((dm.n_scalar_velocity, 2))
+        velocity[dm.interior_dofs] = y0.reshape(2, -1).T
         velocity[dm.boundary_dofs] = self.boundary_values
-        return DiscreteSolution(velocity=velocity, pressure=p, delta_h=delta)
+        return DiscreteSolution(velocity=velocity, pressure=p,
+                                delta_h=float(x[0]))
 
 
 @dataclass
@@ -256,23 +252,21 @@ def assemble_bordered_system(mesh: Mesh, dofmap: DofMap, u_h,
         raise ValueError("alpha_reg must be >= 0")
 
     kloc, dloc = _local_blocks(mesh, dofmap)
-    stiffness = _stiffness_matrix(kloc, dofmap)
     divergence = _divergence_matrix(dloc, dofmap)
     ns = dofmap.n_scalar_velocity
-    interior = np.concatenate([dofmap.interior_dofs,
-                               ns + dofmap.interior_dofs])
+    inner = dofmap.interior_dofs
+    stiffness = _stiffness_matrix(kloc, dofmap)[inner]  # interior rows
 
-    extension = np.zeros(2 * ns)
-    extension[dofmap.boundary_dofs] = trace[:, 0]
-    extension[ns + dofmap.boundary_dofs] = trace[:, 1]
+    extension = np.zeros((ns, 2))
+    extension[dofmap.boundary_dofs] = trace
 
-    A = stiffness[interior][:, interior].tocsr()
-    B = (-divergence[:, interior]).tocsr()
-    rhs_f = -(stiffness @ extension)[interior]
-    rhs_g = divergence @ extension
+    K = stiffness[:, inner].tocsc()
+    B = (-divergence[:, np.concatenate([inner, ns + inner])]).tocsr()
+    rhs_f = -(stiffness @ extension).T.ravel()
+    rhs_g = divergence @ extension.T.ravel()
     s = _pressure_integrals(mesh, dofmap)
     delta = compute_delta_h(trace, mesh, dofmap)
-    return BorderedSystem(A=A, B=B, s=s, alpha_reg=float(alpha_reg),
+    return BorderedSystem(K=K, B=B, s=s, alpha_reg=float(alpha_reg),
                           rhs_f=rhs_f, rhs_g=rhs_g, delta_target=delta,
                           dofmap=dofmap, mesh=mesh,
                           boundary_values=trace.copy())
@@ -290,8 +284,7 @@ def _pressure_integrals(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
 def galerkin_residual(system: BorderedSystem, sol: DiscreteSolution) -> float:
     """Max-norm residual of the assembled equations at a solution."""
     x = np.concatenate([[sol.delta_h],
-                        sol.velocity[system.dofmap.interior_dofs, 0],
-                        sol.velocity[system.dofmap.interior_dofs, 1],
+                        sol.velocity[system.dofmap.interior_dofs].T.ravel(),
                         sol.pressure])
     r = system.matrix() @ x - system.rhs()
     return float(np.abs(r).max())

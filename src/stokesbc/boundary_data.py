@@ -222,7 +222,8 @@ def interpolate_lagrange(u: BoundaryDatum, mesh: Mesh,
     """Pointwise interpolation at the boundary nodal points.
 
     Requires the datum to be continuous at every node; evaluation at a
-    declared jump location is rejected.
+    declared jump location is rejected.  Each node is evaluated once, on
+    the boundary edge it starts.
     """
     params = edge_trace_nodes(dofmap.pairing)
     edge = np.repeat(np.arange(mesh.n_boundary_edges), len(params))
@@ -234,10 +235,10 @@ def interpolate_lagrange(u: BoundaryDatum, mesh: Mesh,
                   & (np.abs(s - js) < 1e-12)):
             raise ValueError("datum has a jump at a boundary node; "
                              "Lagrange interpolation is not defined")
+    starts = t < 1.0
     coef = np.zeros((dofmap.n_boundary_dofs, 2))
-    # a node shared by two edges takes the value from the later edge
-    coef[dofmap.boundary_edge_positions.ravel()] = _datum_values(u, mesh,
-                                                                edge, t)
+    coef[dofmap.boundary_edge_positions[:, :-1].ravel()] = _datum_values(
+        u, mesh, edge[starts], t[starts])
     return BoundaryTrace(coef)
 
 

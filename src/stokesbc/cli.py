@@ -41,11 +41,18 @@ __all__ = [
 ]
 
 DOMAIN_ANGLES = {"convex": 2 * np.pi / 3, "nonconvex": 3 * np.pi / 2}
+PAIRINGS = ("taylor_hood", "mini")
 PROJECTORS = {
     "l2": project_l2,
     "carstensen": interpolate_carstensen,
     "lagrange": interpolate_lagrange,
 }
+COMPAT_MODES = ("off", "affine_field", "projected_normal")
+OUTPUTS = ("csv", "markdown")
+# study norms in table order: ConvergenceRecord field suffix (err_*, eoc_*)
+# and markdown heading
+NORMS = (("l2_velocity", "e_h (L2)"), ("h1_velocity", "|grad e_h|"),
+         ("l2_pressure", "e_h (pressure)"))
 
 
 class ConfigError(ValueError):
@@ -71,11 +78,11 @@ class StudyConfig:
             raise ConfigError(f"unknown domain {self.domain!r}")
         if not self.alpha_sing > -1.0:
             raise ConfigError("alpha must exceed -1")
-        if self.pairing not in ("taylor_hood", "mini"):
+        if self.pairing not in PAIRINGS:
             raise ConfigError(f"unknown element pairing {self.pairing!r}")
         if self.projector not in PROJECTORS:
             raise ConfigError(f"unknown projector {self.projector!r}")
-        if self.compat not in ("off", "affine_field", "projected_normal"):
+        if self.compat not in COMPAT_MODES:
             raise ConfigError(f"unknown compat mode {self.compat!r}")
         if self.levels < 2:
             raise ConfigError("levels must be at least 2 (eoc needs two "
@@ -85,7 +92,7 @@ class StudyConfig:
                               f"{MAX_QUAD_DEGREE}]")
         if self.alpha_reg < 0:
             raise ConfigError("alpha-reg must be nonnegative")
-        if self.output not in ("csv", "markdown"):
+        if self.output not in OUTPUTS:
             raise ConfigError(f"unknown output format {self.output!r}")
         if self.projector == "lagrange" and self.alpha_sing <= 0:
             raise ConfigError("lagrange projector needs alpha > 0 (datum "
@@ -110,7 +117,12 @@ def run_convergence(config: StudyConfig) -> list[ConvergenceRecord]:
     pairing = pairing_from_name(config.pairing)
     mesh = build_domain(config.domain)
     datum = trace_of_solution(mesh.polygon, sol)
-    with_h1 = config.alpha_sing > 0
+    # the H1 and pressure errors are infinite for alpha <= 0; the norms are
+    # looked up here, not at import, so that patched module names count
+    norms = {"l2_velocity": l2_velocity_error}
+    if config.alpha_sing > 0:
+        norms.update(h1_velocity=h1_seminorm_velocity_error,
+                     l2_pressure=l2_pressure_error)
     records: list[ConvergenceRecord] = []
     for level in range(1, config.levels + 1):
         mesh = refine_uniform(mesh)
@@ -120,26 +132,19 @@ def run_convergence(config: StudyConfig) -> list[ConvergenceRecord]:
                                           alpha_reg=config.alpha_reg)
         y_h, report = solve(system)
         quad = ErrorQuadrature(mesh, dofmap, quad_degree=config.quad_degree)
+        errs = {name: norm(y_h, sol, quad) for name, norm in norms.items()}
         rec = ConvergenceRecord(
             level=level, h=mesh.h,
             n_dofs=2 * dofmap.n_scalar_velocity + dofmap.n_pressure + 1,
-            err_l2_velocity=l2_velocity_error(y_h, sol, quad),
             delta_h=system.delta_target,
             solver_iterations=report.iterations,
             solver_residual=report.residual_norm,
-            solver_factor_nnz=report.factor_nnz)
-        if with_h1:
-            rec.err_h1_velocity = h1_seminorm_velocity_error(y_h, sol, quad)
-            rec.err_l2_pressure = l2_pressure_error(y_h, sol, quad)
+            solver_factor_nnz=report.factor_nnz,
+            **{f"err_{name}": err for name, err in errs.items()})
         if records:
-            prev = records[-1]
-            rec.eoc_l2_velocity = eoc(prev.err_l2_velocity,
-                                      rec.err_l2_velocity)
-            if with_h1:
-                rec.eoc_h1_velocity = eoc(prev.err_h1_velocity,
-                                          rec.err_h1_velocity)
-                rec.eoc_l2_pressure = eoc(prev.err_l2_pressure,
-                                          rec.err_l2_pressure)
+            for name, err in errs.items():
+                setattr(rec, f"eoc_{name}",
+                        eoc(getattr(records[-1], f"err_{name}"), err))
         records.append(rec)
     return records
 
@@ -207,55 +212,54 @@ def run_counterexample() -> CounterexampleReport:
         flux_carstensen=boundary_flux(u_ca.coefficients, mesh, dofmap))
 
 
-def _fmt(value, digits=12) -> str:
-    if value is None:
-        return ""
-    return f"{value:.{digits}e}" if isinstance(value, float) else str(value)
+def _columns(records: list[ConvergenceRecord], fmt: str):
+    """(field, markdown heading, markdown format) of the table's columns.
+
+    CSV has every column; markdown has those with a heading, and a norm's
+    two only when some record has its error.
+    """
+    cols = [("level", None, None), ("h", "h", ".6f"), ("n_dofs", None, None)]
+    for name, heading in NORMS:
+        if fmt == "csv" or any(getattr(r, f"err_{name}") is not None
+                               for r in records):
+            cols += [(f"err_{name}", heading, ".4e"),
+                     (f"eoc_{name}", "eoc", ".4f")]
+    cols.append(("delta_h", None, None))
+    return cols if fmt == "csv" else [c for c in cols if c[1]]
 
 
 def emit_table(records: list[ConvergenceRecord], fmt: str,
                expected: float | None = None) -> str:
-    """Render study records as CSV or a markdown table."""
+    """Render study records as CSV or a markdown table.
+
+    The expected order, if given, goes in a last row under the first eoc.
+    """
     if not records:
         raise ValueError("no records to emit")
-    if fmt == "csv":
-        cols = ["level", "h", "n_dofs", "err_l2_velocity", "eoc_l2_velocity",
-                "err_h1_velocity", "eoc_h1_velocity", "err_l2_pressure",
-                "eoc_l2_pressure", "delta_h"]
-        lines = [",".join(cols)]
-        for r in records:
-            lines.append(",".join(_fmt(getattr(r, c)) for c in cols))
-        if expected is not None:
-            tail = [""] * len(cols)
-            tail[0] = "expected"
-            tail[4] = f"{expected:.12e}"
-            lines.append(",".join(tail))
-        return "\n".join(lines) + "\n"
-    if fmt != "markdown":
+    if fmt not in OUTPUTS:
         raise ValueError(f"unknown table format {fmt!r}")
-    with_h1 = any(r.err_h1_velocity is not None for r in records)
-    head = ["h", "e_h (L2)", "eoc"]
-    if with_h1:
-        head += ["|grad e_h|", "eoc", "e_h (pressure)", "eoc"]
-    lines = ["| " + " | ".join(head) + " |",
-             "|" + "---|" * len(head)]
-    for r in records:
-        row = [f"{r.h:.6f}", f"{r.err_l2_velocity:.4e}",
-               f"{r.eoc_l2_velocity:.4f}" if r.eoc_l2_velocity is not None
-               else "-"]
-        if with_h1:
-            row += [f"{r.err_h1_velocity:.4e}",
-                    f"{r.eoc_h1_velocity:.4f}"
-                    if r.eoc_h1_velocity is not None else "-",
-                    f"{r.err_l2_pressure:.4e}",
-                    f"{r.eoc_l2_pressure:.4f}"
-                    if r.eoc_l2_pressure is not None else "-"]
-        lines.append("| " + " | ".join(row) + " |")
+    cols = _columns(records, fmt)
+
+    def cell(value, spec):
+        if fmt == "markdown":
+            return "-" if value is None else format(value, spec)
+        if value is None:
+            return ""
+        return f"{value:.12e}" if isinstance(value, float) else str(value)
+
+    rows = [[cell(getattr(r, field), spec) for field, _, spec in cols]
+            for r in records]
     if expected is not None:
-        row = ["expected", "", f"{expected:.4f}"]
-        if with_h1:
-            row += [""] * 4
-        lines.append("| " + " | ".join(row) + " |")
+        rows.append(["expected"] + [
+            cell(expected, spec) if field == "eoc_l2_velocity" else ""
+            for field, _, spec in cols[1:]])
+    if fmt == "csv":
+        lines = [",".join(field for field, _, _ in cols)]
+        lines += [",".join(row) for row in rows]
+    else:
+        lines = ["| " + " | ".join(head for _, head, _ in cols) + " |",
+                 "|" + "---|" * len(cols)]
+        lines += ["| " + " | ".join(row) + " |" for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -282,17 +286,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     conv = sub.add_parser("convergence", help="run a refinement study")
     conv.add_argument("--config", help="key=value config file (flags win)")
-    conv.add_argument("--domain", choices=("convex", "nonconvex"))
+    conv.add_argument("--domain", choices=tuple(DOMAIN_ANGLES))
     conv.add_argument("--alpha", type=float, dest="alpha_sing")
-    conv.add_argument("--element", choices=("taylor_hood", "mini"),
-                      dest="pairing")
-    conv.add_argument("--projector", choices=("l2", "carstensen", "lagrange"))
-    conv.add_argument("--compat",
-                      choices=("off", "affine_field", "projected_normal"))
+    conv.add_argument("--element", choices=PAIRINGS, dest="pairing")
+    conv.add_argument("--projector", choices=tuple(PROJECTORS))
+    conv.add_argument("--compat", choices=COMPAT_MODES)
     conv.add_argument("--levels", type=int)
     conv.add_argument("--quad-degree", type=int, dest="quad_degree")
     conv.add_argument("--alpha-reg", type=float, dest="alpha_reg")
-    conv.add_argument("--output", choices=("csv", "markdown"))
+    conv.add_argument("--output", choices=OUTPUTS)
     conv.add_argument("--out", help="write the table to a file")
     ce = sub.add_parser("counterexample",
                         help="run the boundary-flux counterexample")

@@ -146,13 +146,13 @@ def _factorize(matrix, what: str, **options):
 def _block_preconditioner(system: BorderedSystem):
     """SPD operator ``diag(max(alpha, 1), A^{-1}, M_p^{-1})`` and its fill.
 
-    ``A`` is ``block_diag(K, K)`` for the interior scalar stiffness ``K``
-    (``BorderedSystem.scalar_stiffness``), so only ``K`` is factorised and
-    both velocity components are solved as one two-column system.  ``M_p``
-    is ``BorderedSystem.pressure_mass``.  Returns the operator and the
-    entries stored by both factorisations.
+    ``A`` is ``diag(K, K)`` for the interior scalar stiffness
+    ``BorderedSystem.K``, so only ``K`` is factorised and both velocity
+    components are solved as one two-column system.  ``M_p`` is
+    ``BorderedSystem.pressure_mass``.  Returns the operator and the entries
+    stored by both factorisations.
     """
-    lu = _factorize(system.scalar_stiffness, "velocity block", **_SPD)
+    lu = _factorize(system.K, "velocity block", **_SPD)
     mass = _factorize(system.pressure_mass, "pressure mass", **_SPD)
     half = lu.shape[0]
     alpha = max(system.alpha_reg, 1.0)

@@ -168,6 +168,21 @@ def test_lagrange_singular_trace_node_value():
     assert u_h.coefficients[at_10, 1] == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("level", [3, 5])
+@pytest.mark.parametrize("pairing", [TAYLOR_HOOD, MINI])
+def test_lagrange_study_trace_is_flux_free_at_the_corner(pairing, level):
+    # the origin node ends the last boundary edge and starts edge 0; read
+    # from the last edge it sat at the rounded r = |last_len - s| = 1e-16
+    # and took r^0.05 Phi(omega), a flux of 1e-3 where the datum is zero
+    mesh = build_domain("convex")
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    dm = build_dofmap(mesh, pairing)
+    sol = SingularSolution(alpha=0.05, omega=2 * np.pi / 3)
+    u_h = interpolate_lagrange(trace_of_solution(mesh.polygon, sol), mesh, dm)
+    assert abs(boundary_flux(u_h.coefficients, mesh, dm)) <= 1e-14
+
+
 def test_lagrange_zero_datum(square_p1):
     mesh, dm = square_p1
     datum = polynomial_datum(mesh.polygon, lambda x, y: 0 * x,
@@ -181,6 +196,15 @@ def test_lagrange_rejects_jump_at_node():
     dm = build_dofmap(mesh, TAYLOR_HOOD)
     with pytest.raises(ValueError):
         interpolate_lagrange(counterexample_datum(), mesh, dm)
+
+
+def test_lagrange_rejects_jump_at_a_polygon_vertex():
+    # the vertex (0, 1) ends polygon edge 2; its node is read from edge 3
+    mesh = refine_uniform(unit_square())
+    dm = build_dofmap(mesh, TAYLOR_HOOD)
+    datum = BoundaryDatum(counterexample_datum().evaluate, jumps=((2, 1.0),))
+    with pytest.raises(ValueError):
+        interpolate_lagrange(datum, mesh, dm)
 
 
 def test_lagrange_rejects_unbounded_datum():

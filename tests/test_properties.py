@@ -4,7 +4,7 @@ error quadrature, the solver, the kernels and the singular profiles."""
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stokesbc import _kernels
@@ -273,30 +273,35 @@ def test_pressure_mass_is_symmetric_with_rows_summing_to_s(domain, level,
 
 
 @PROPERTY
-@example(domain="convex", level=3, pairing=pairing_from_name("mini"),
-         projector="lagrange", compat="off", alpha=0.05, alpha_reg=1.0)
 @given(domain=domains, level=st.integers(1, 3), pairing=pairings,
        projector=st.sampled_from(sorted(PROJECTORS)),
        compat=st.sampled_from(["off", "affine_field", "projected_normal"]),
-       alpha=st.floats(-0.45, 0.95), alpha_reg=st.sampled_from([0.0, 1.0]))
+       alpha=st.floats(-0.45, 0.95), alpha_reg=st.sampled_from([0.0, 1.0]),
+       kick=st.floats(0.1, 1.0))
 def test_divergence_identity_and_defect_for_every_datum(domain, level,
                                                         pairing, projector,
                                                         compat, alpha,
-                                                        alpha_reg):
+                                                        alpha_reg, kick):
     # criterion 11 and the defect delta_h = <u_h, n> / |Omega| for every
     # drawn study datum; Lagrange interpolation needs a continuous datum.
-    # Study traces have |<u_h, n>| < 1e-13 but for Lagrange interpolation
-    # on the convex domain, whose corner node can land at r = 1e-16; the
-    # example's flux is 1.3e-3.
+    # Study traces have |<u_h, n>| < 1e-13, which a load g that misses the
+    # boundary columns would pass: the datum gets kick times the
+    # affine_field corrector's (x - centroid) / 2, whose flux is |Omega|.
     assume(projector != "lagrange" or alpha > 0)
     mesh = refined(domain, level)
     config = StudyConfig(domain=domain, alpha_sing=alpha,
                          pairing=pairing.kind, projector=projector,
                          compat=compat)
     dm = build_dofmap(mesh, pairing)
-    datum = trace_of_solution(mesh.polygon, SingularSolution(
+    exact = trace_of_solution(mesh.polygon, SingularSolution(
         alpha, DOMAIN_ANGLES[domain]))
-    u_h = approximate_datum(config, datum, mesh, dm)
+    centroid = mesh.polygon.centroid
+
+    def evaluate(edge, s):
+        affine = mesh.polygon.point_on_edge(edge, s) - centroid
+        return exact.evaluate(edge, s) + 0.5 * kick * affine
+
+    u_h = approximate_datum(config, BoundaryDatum(evaluate), mesh, dm)
     y_h, report = solve(assemble_bordered_system(mesh, dm, u_h,
                                                  alpha_reg=alpha_reg))
     flux = boundary_flux(u_h.coefficients, mesh, dm)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from stokesbc.assembly import assemble_bordered_system
+from stokesbc.assembly import assemble_bordered_system, assemble_stiffness
 from stokesbc.cli import StudyConfig, main, run_convergence
 from stokesbc.fe_spaces import MINI, TAYLOR_HOOD, build_dofmap
 from stokesbc.mesh import build_domain, refine_uniform, unit_square
@@ -154,16 +154,22 @@ def test_factorization_out_of_memory_exit_code(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_scalar_stiffness_is_the_velocity_block_layout():
+def test_velocity_block_is_diag_of_the_interior_stiffness():
     # the preconditioner factorises K alone; A must be exactly diag(K, K)
+    # and the interior block of the vector Laplacian, component-major
     for pairing in (TAYLOR_HOOD, MINI):
         mesh = refine_uniform(build_domain("nonconvex"))
         dm = build_dofmap(mesh, pairing)
         system = assemble_bordered_system(
             mesh, dm, np.zeros((dm.n_boundary_dofs, 2)))
-        k = system.scalar_stiffness
-        assert 2 * k.shape[0] == system.n_interior
+        k = system.K
+        assert k.format == "csc"
+        assert k.shape == (len(dm.interior_dofs),) * 2
         assert abs(system.A - sp.block_diag([k, k])).max() == 0.0
+        ns = dm.n_scalar_velocity
+        interior = np.concatenate([dm.interior_dofs, ns + dm.interior_dofs])
+        vector = assemble_stiffness(mesh, dm)[interior][:, interior]
+        assert abs(system.A - vector).max() == 0.0
 
 
 def test_report_counts_factor_fill():
@@ -172,5 +178,5 @@ def test_report_counts_factor_fill():
     assert direct.factor_nnz == spla.splu(sp.csc_matrix(system.matrix())).nnz
     # SuperLU drops no entry, so the factors hold at least the matrix's
     _, minres = solve(system)
-    blocks = (system.scalar_stiffness, system.pressure_mass)
+    blocks = (system.K, system.pressure_mass)
     assert minres.factor_nnz >= sum(b.nnz for b in blocks)
