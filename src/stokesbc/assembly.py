@@ -206,6 +206,14 @@ class BorderedSystem:
         m.sort_indices()
         return m
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Product ``matrix() @ x``, block by block, without the matrix."""
+        half = self.K.shape[0]
+        delta, y, p = x[0], x[1:1 + 2 * half], x[1 + 2 * half:]
+        velocity = (self.K @ y.reshape(2, half).T).T.ravel() + self.B.T @ p
+        return np.concatenate([[self.alpha_reg * delta + self.s @ p],
+                               velocity, self.s * delta + self.B @ y])
+
     def rhs(self) -> np.ndarray:
         return np.concatenate([[self.alpha_reg * self.delta_target],
                                self.rhs_f, self.rhs_g])
@@ -286,7 +294,7 @@ def galerkin_residual(system: BorderedSystem, sol: DiscreteSolution) -> float:
     x = np.concatenate([[sol.delta_h],
                         sol.velocity[system.dofmap.interior_dofs].T.ravel(),
                         sol.pressure])
-    r = system.matrix() @ x - system.rhs()
+    r = system.apply(x) - system.rhs()
     return float(np.abs(r).max())
 
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -192,7 +196,7 @@ def test_unwritable_output_fails_before_the_study(monkeypatch, tmp_path,
 def test_failed_study_leaves_output_path_alone(monkeypatch, tmp_path,
                                                existing):
     def failing(config):
-        raise cli.SolveError("MINRES did not converge")
+        raise cli.SolveError("Schur-complement CG did not converge")
 
     monkeypatch.setattr(cli, "run_convergence", failing)
     out = tmp_path / "table.csv"
@@ -290,3 +294,14 @@ def test_cli_output_deterministic(tmp_path):
                      "--levels", "2", "--output", "csv",
                      "--out", str(p)]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_python_m_stokesbc_runs_clean():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "stokesbc", "counterexample"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0
+    assert run.stderr == ""
+    assert "PASS" in run.stdout

@@ -243,22 +243,32 @@ def random_system(domain, level, pairing, seed, alpha_reg=1.0):
 
 @PROPERTY
 @given(domain=domains, level=st.integers(1, 3), pairing=pairings, seed=seeds)
-def test_block_minres_matches_direct_and_alpha_reg(domain, level, pairing,
-                                                   seed):
+def test_schur_cg_matches_direct_and_alpha_reg(domain, level, pairing, seed):
     system = random_system(domain, level, pairing, seed)
     x, _ = solve_linear(system.matrix(), system.rhs())
     direct = system.unpack(x)
     scale = max(np.abs(direct.velocity).max(), np.abs(direct.pressure).max(),
                 abs(direct.delta_h))
     for alpha_reg in (1.0, 0.0):
-        minres, report = solve(random_system(domain, level, pairing, seed,
-                                             alpha_reg))
-        assert report.method == "block_minres"
-        assert np.abs(minres.velocity - direct.velocity).max() \
-            <= 1e-9 * scale
-        assert np.abs(minres.pressure - direct.pressure).max() \
-            <= 1e-9 * scale
-        assert abs(minres.delta_h - direct.delta_h) <= 1e-9 * scale
+        cg, report = solve(random_system(domain, level, pairing, seed,
+                                         alpha_reg))
+        assert report.method == "schur_cg"
+        assert np.abs(cg.velocity - direct.velocity).max() <= 1e-9 * scale
+        assert np.abs(cg.pressure - direct.pressure).max() <= 1e-9 * scale
+        assert abs(cg.delta_h - direct.delta_h) <= 1e-9 * scale
+
+
+@PROPERTY
+@given(domain=domains, level=st.integers(1, 3), pairing=pairings, seed=seeds,
+       alpha_reg=st.sampled_from([0.0, 1.0]))
+def test_apply_matches_the_assembled_matrix(domain, level, pairing, seed,
+                                            alpha_reg):
+    system = random_system(domain, level, pairing, seed, alpha_reg)
+    matrix = system.matrix()
+    x = np.random.default_rng(seed + 1).standard_normal(matrix.shape[0])
+    expected = matrix @ x
+    assert np.linalg.norm(system.apply(x) - expected) \
+        <= 1e-14 * np.linalg.norm(expected)
 
 
 @PROPERTY

@@ -3,7 +3,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from stokesbc.assembly import assemble_bordered_system, assemble_stiffness
+from stokesbc import solver
+from stokesbc.assembly import (BorderedSystem, assemble_bordered_system,
+                               assemble_stiffness)
 from stokesbc.cli import StudyConfig, main, run_convergence
 from stokesbc.fe_spaces import MINI, TAYLOR_HOOD, build_dofmap
 from stokesbc.mesh import build_domain, refine_uniform, unit_square
@@ -102,28 +104,28 @@ def test_block_minres_agrees_with_direct(pairing, domain_id, alpha_reg):
     system = assemble_bordered_system(mesh, dm, trace, alpha_reg=alpha_reg)
     x, _ = solve_linear(system.matrix(), system.rhs())
     sol_direct = system.unpack(x)
-    sol_minres, report = solve(system)
-    assert report.method == "block_minres"
+    sol_cg, report = solve(system)
+    assert report.method == "schur_cg"
     assert report.iterations > 0
     assert report.residual_norm <= 1e-10 * np.linalg.norm(system.rhs())
     scale = max(np.abs(sol_direct.velocity).max(),
                 np.abs(sol_direct.pressure).max())
-    assert np.abs(sol_direct.velocity - sol_minres.velocity).max() \
+    assert np.abs(sol_direct.velocity - sol_cg.velocity).max() \
         < 1e-9 * scale
-    assert np.abs(sol_direct.pressure - sol_minres.pressure).max() \
+    assert np.abs(sol_direct.pressure - sol_cg.pressure).max() \
         < 1e-9 * scale
-    assert sol_direct.delta_h == pytest.approx(sol_minres.delta_h, abs=1e-10)
+    assert sol_direct.delta_h == pytest.approx(sol_cg.delta_h, abs=1e-10)
 
 
-def test_block_minres_iterations_mesh_independent():
+def test_schur_cg_iterations_mesh_independent():
     records = run_convergence(StudyConfig(domain="nonconvex", alpha_sing=0.5,
                                           levels=4))
     iterations = [r.solver_iterations for r in records]
-    assert max(iterations) <= 100
+    assert max(iterations) <= 30
     assert iterations[3] <= 1.1 * iterations[2]
 
 
-SOLVES = {"block_minres": solve,
+SOLVES = {"schur_cg": solve,
           "direct_factorization": lambda system: solve_linear(
               system.matrix(), system.rhs())}
 
@@ -155,7 +157,7 @@ def test_factorization_out_of_memory_exit_code(monkeypatch, capsys):
 
 
 def test_velocity_block_is_diag_of_the_interior_stiffness():
-    # the preconditioner factorises K alone; A must be exactly diag(K, K)
+    # the solver factorises K alone; A must be exactly diag(K, K)
     # and the interior block of the vector Laplacian, component-major
     for pairing in (TAYLOR_HOOD, MINI):
         mesh = refine_uniform(build_domain("nonconvex"))
@@ -177,6 +179,25 @@ def test_report_counts_factor_fill():
     _, direct = solve_linear(system.matrix(), system.rhs())
     assert direct.factor_nnz == spla.splu(sp.csc_matrix(system.matrix())).nnz
     # SuperLU drops no entry, so the factors hold at least the matrix's
-    _, minres = solve(system)
+    _, schur = solve(system)
     blocks = (system.K, system.pressure_mass)
-    assert minres.factor_nnz >= sum(b.nnz for b in blocks)
+    assert schur.factor_nnz >= sum(b.nnz for b in blocks)
+
+
+def test_solve_builds_no_bordered_matrix(monkeypatch):
+    system = stokes_system()
+
+    def no_matrix(self):
+        pytest.fail("solve assembled the bordered matrix")
+
+    monkeypatch.setattr(BorderedSystem, "matrix", no_matrix)
+    _, report = solve(system)
+    assert report.method == "schur_cg"
+
+
+def test_iteration_cap_is_solve_error(monkeypatch, capsys):
+    monkeypatch.setattr(solver, "CG_MAXITER", 2)
+    with pytest.raises(SolveError, match="did not converge"):
+        solve(stokes_system())
+    assert main(["convergence", "--levels", "2"]) == 2
+    assert "did not converge" in capsys.readouterr().err
