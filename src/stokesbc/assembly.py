@@ -99,15 +99,13 @@ def _stiffness_matrix(kloc, dofmap: DofMap) -> sp.csr_matrix:
 def _divergence_matrix(dloc, dofmap: DofMap) -> sp.csr_matrix:
     nl = N_LOCAL_VELOCITY[dofmap.pairing.kind]
     ns = dofmap.n_scalar_velocity
-    rows = np.repeat(dofmap.cell_pressure, nl, axis=1)
-    cols = np.tile(dofmap.cell_velocity, (1, 3))
-    blocks = []
-    for c in range(2):
-        vals = dloc[:, c].reshape(len(dloc), -1)
-        blocks.append(sp.coo_matrix(
-            (vals.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(dofmap.n_pressure, ns)))
-    full = sp.hstack(blocks, format="csr")
+    rows = np.repeat(dofmap.cell_pressure, nl, axis=1).ravel()
+    cols = np.tile(dofmap.cell_velocity, (1, 3)).ravel()
+    # one COO, the second component's columns after the first's
+    full = sp.coo_matrix(
+        (np.swapaxes(dloc, 0, 1).ravel(),
+         (np.tile(rows, 2), np.concatenate([cols, cols + ns]))),
+        shape=(dofmap.n_pressure, 2 * ns)).tocsr()
     full.sum_duplicates()
     full.sort_indices()
     return full

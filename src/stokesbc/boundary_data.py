@@ -192,7 +192,7 @@ def project_l2(u: BoundaryDatum, mesh: Mesh, dofmap: DofMap) -> BoundaryTrace:
         lu = spla.splu(mass)
     except RuntimeError as exc:  # pragma: no cover - only on broken dofmaps
         raise ValueError("singular boundary mass matrix") from exc
-    coef = np.column_stack([lu.solve(rhs[:, 0]), lu.solve(rhs[:, 1])])
+    coef = lu.solve(rhs)
     resid = np.abs(mass @ coef - rhs).max()
     scale = max(np.abs(rhs).max(), 1.0)
     if resid > 1e-12 * scale:

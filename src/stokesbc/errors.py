@@ -4,11 +4,14 @@ All error integrals on one mesh share one ``ErrorQuadrature``: a
 fixed-degree triangle rule on every cell, where the cells touching the
 singular corner are split into dyadically shrinking layers toward the origin
 so that integrands like |y|^2 ~ r^(2a) with a near -1/2 are resolved.  Each
-layer is one more sub-cell of the point set, so every norm is one exact-field
-evaluation and one reduction per batch, with no branch for the corner.  The
-layering depth is configurable; the test ``test_corner_subdivision_robustness``
-checks that deepening the layers does not move the value.  Studies do not run
-that check.
+layer is one more sub-cell of the point set, with no branch for the corner.
+The quadrature evaluates the exact velocity, gradient and pressure at its
+points once per solution, in one pass, and the three norms share them.  The
+pass and each norm's reduction run over chunks of at most ``CHUNK`` points,
+so their temporaries do not grow with the mesh.
+The layering depth is configurable; the test
+``test_corner_subdivision_robustness`` checks that deepening the layers does
+not move the value.  Studies do not run that check.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ import numpy as np
 from . import _kernels
 from .assembly import DiscreteSolution
 from .fe_spaces import DofMap, _tabulate, quadrature
-from .manufactured import (SingularSolution, eval_pressure, eval_velocity,
-                           eval_velocity_gradient, solve_xi)
+from .manufactured import SingularSolution, exact_fields, solve_xi
 from .mesh import Mesh
 
 __all__ = [
@@ -36,6 +38,8 @@ __all__ = [
 
 DEFAULT_QUAD_DEGREE = 10
 DEFAULT_CORNER_LEVELS = 6
+# points per exact-field evaluation and per norm reduction
+CHUNK = 2 ** 12
 
 
 @dataclass
@@ -74,6 +78,14 @@ class _Batch:
     vals_v: np.ndarray         # (..., nq, nl) velocity basis values
     grads_v: np.ndarray        # (..., nq, nl, 2) reference gradients
     vals_p: np.ndarray         # (..., nq, 3) pressure basis values
+
+    def cells(self, s: slice) -> _Batch:
+        """The cells ``s``; tables shared by all cells stay whole."""
+        shared = self.vals_v.ndim == 2
+        tables = [t if shared else t[s]
+                  for t in (self.vals_v, self.grads_v, self.vals_p)]
+        return _Batch(self.points[s], self.weights[s], self.invjt[s],
+                      self.cell_velocity[s], self.cell_pressure[s], *tables)
 
 
 def _dyadic_layers(levels: int):
@@ -144,17 +156,54 @@ class ErrorQuadrature:
             batch(regular, rule.points,
                   np.multiply.outer(detj[regular], rule.weights)),
             batch(parent, bary, np.multiply.outer(scale, rule.weights)))
+        self._exact = (None, None)
+
+    def parts(self, sol: SingularSolution):
+        """(cells, exact fields) pairs of at most CHUNK points each.
+
+        The fields are the exact ``velocity`` (n, nq, 2) and, for alpha > 0,
+        ``gradient`` (n, nq, 2, 2) [d y_c / d x_d] and ``pressure`` (n, nq),
+        evaluated once and kept for the last solution asked about.
+        """
+        if self._exact[0] != sol:
+            self._exact = (sol, [_exact_at(sol, b.points)
+                                 for b in self.batches])
+        for b, exact in zip(self.batches, self._exact[1]):
+            step = max(1, CHUNK // b.weights.shape[1])
+            for i in range(0, len(b.weights), step):
+                s = slice(i, i + step)
+                yield b.cells(s), {k: v[s] for k, v in exact.items()}
+
+
+def _exact_at(sol: SingularSolution, points: np.ndarray) -> dict:
+    """The exact fields of ``ErrorQuadrature.parts`` at the points of one
+    batch, evaluated in chunks of CHUNK points."""
+    flat = points.reshape(-1, 2)
+    n = len(flat)
+    out = {"velocity": np.empty(n, dtype=complex)}
+    if sol.alpha > 0:
+        out.update(gradient=np.empty((n, 2), dtype=complex),
+                   pressure=np.empty(n))
+    for i in range(0, n, CHUNK):
+        exact_fields(sol, flat[i:i + CHUNK],
+                     **{k: v[i:i + CHUNK] for k, v in out.items()})
+    shape = points.shape[:-1]
+    out["velocity"] = out["velocity"].view(float).reshape(shape + (2,))
+    if "gradient" in out:
+        out["gradient"] = out["gradient"].view(float).reshape(
+            shape + (2, 2)).swapaxes(-1, -2)
+        out["pressure"] = out["pressure"].reshape(shape)
+    return out
 
 
 def l2_velocity_error(y_h: DiscreteSolution, sol: SingularSolution,
                       quad: ErrorQuadrature) -> float:
     """L2 norm of the velocity error against the exact singular solution."""
     total = 0.0
-    for b in quad.batches:
-        exact = eval_velocity(sol, b.points.reshape(-1, 2))
+    for b, exact in quad.parts(sol):
         total += _kernels.l2_accumulate(y_h.velocity[b.cell_velocity],
                                         b.vals_v, b.weights,
-                                        exact.reshape(b.points.shape))
+                                        exact["velocity"])
     return float(np.sqrt(total))
 
 
@@ -164,12 +213,10 @@ def h1_seminorm_velocity_error(y_h: DiscreteSolution, sol: SingularSolution,
     if sol.alpha <= 0:
         raise ValueError("exact velocity is not in H1 for alpha <= 0")
     total = 0.0
-    for b in quad.batches:
-        exact = eval_velocity_gradient(sol, b.points.reshape(-1, 2))
+    for b, exact in quad.parts(sol):
         total += _kernels.h1_accumulate(y_h.velocity[b.cell_velocity],
                                         b.grads_v, b.invjt, b.weights,
-                                        exact.reshape(b.weights.shape
-                                                      + (2, 2)))
+                                        exact["gradient"])
     return float(np.sqrt(total))
 
 
@@ -184,12 +231,11 @@ def l2_pressure_error(y_h: DiscreteSolution, sol: SingularSolution,
     if sol.alpha <= 0:
         raise ValueError("exact pressure is not in L2 for alpha <= 0")
     weights, diffs = [], []
-    for b in quad.batches:
-        exact = eval_pressure(sol, b.points.reshape(-1, 2))
+    for b, exact in quad.parts(sol):
         approx = np.einsum("...qi,...i->...q", b.vals_p,
                            y_h.pressure[b.cell_pressure])
         weights.append(b.weights.ravel())
-        diffs.append(exact - approx.ravel())
+        diffs.append((exact["pressure"] - approx).ravel())
     w, diff = np.concatenate(weights), np.concatenate(diffs)
     mean_diff = float(w @ diff) / quad.mesh.polygon.area
     return float(np.sqrt(w @ (diff - mean_diff) ** 2))

@@ -16,6 +16,24 @@ angular profiles are
 
 The pair lies in H^(t+1/2) x H^(t-1/2) exactly for t < 1/2 + a, which makes
 ``a`` the regularity dial of the convergence studies.
+
+The code evaluates the same fields in complex form.  With z = r e^(i t),
+e(x) = e^(i x), g = e(w) + e(a w), h = e(a w) + e(-w), k = e(w) + e(-a w):
+
+    y1 + i y2 = r^a [sin(a (w - t)) - e(w) sin(a t)
+                     + (i a / 2) e(-a t) (h e(2 t) - g)]
+    d/dz (y1 + i y2)    = (i a / 2) r^(a-1) [k e((a-1) t) + h e(-(a-1) t)]
+    d/dzbar (y1 + i y2) = (i a / 2) r^(a-1) e(-(a-1) t) [(a-1) h e(2 t)
+                                                        - (1 + a) g]
+    p = 2 a r^(a-1) Im[k e((a-1) t)]
+
+with d/dx = d/dz + d/dzbar and d/dy = i (d/dz - d/dzbar); product-to-sum
+on the profiles gives the first line, the Wirtinger derivatives of
+y1 + i y2 = (k z^a - (1 + a) g zbar^a + a h z zbar^(a-1)) i / 2 the next
+two.  So a point costs two trig calls, cos(a t) and sin(a t); e(t) is
+(x + i y) / r, and every other angle comes by complex multiplication, that
+is by angle addition.  Each term keeps its factor a, so the fields stay
+accurate relative to their size as a -> 0.
 """
 
 from __future__ import annotations
@@ -29,6 +47,7 @@ __all__ = [
     "eval_velocity",
     "eval_pressure",
     "eval_velocity_gradient",
+    "exact_fields",
     "solve_xi",
 ]
 
@@ -73,60 +92,65 @@ def _polar(sol: SingularSolution, points: np.ndarray):
     return pts, r, theta
 
 
-def _angles(sol: SingularSolution, t: np.ndarray):
-    """(cos, sin) pairs of t, a t, a (w - t), w - t, a (w - t) + t, (a - 1) t.
+def _fields(sol: SingularSolution, r, eit, at, velocity=None,
+            gradient=None, pressure=None):
+    """``exact_fields`` from radii ``r``, ``eit`` = e^(i t) and ``at`` = a t,
+    by the complex form of the module docstring."""
+    a, w = sol.alpha, sol.omega
+    ew, eaw = np.exp(1j * w), np.exp(1j * a * w)
+    g, h, k = ew + eaw, eaw + ew.conjugate(), ew + eaw.conjugate()
+    e = np.empty(len(r), dtype=complex)  # e^(i a t): the two trig calls
+    np.cos(at, out=e.real)
+    np.sin(at, out=e.imag)
+    ce = e.conj()
+    e2 = eit * eit
+    if velocity is not None:
+        np.multiply(h, e2, out=velocity)
+        velocity -= g
+        velocity *= ce
+        velocity *= 0.5j * a
+        velocity += (eaw * ce).imag
+        velocity -= ew * e.imag
+        velocity *= r ** a
+    if gradient is None and pressure is None:
+        return
+    e1 = e * eit.conj()  # e^(i (a - 1) t)
+    ra1 = r ** (a - 1.0)
+    if pressure is not None:
+        np.multiply((k * e1).imag, 2.0 * a * ra1, out=pressure)
+    if gradient is not None:
+        ce1 = e1.conj()
+        dz = k * e1  # d/dz and d/dzbar, each over (i a / 2) r^(a - 1)
+        dz += h * ce1
+        dzb = (a - 1.0) * h * e2
+        dzb -= (1.0 + a) * g
+        dzb *= ce1
+        scale = 0.5j * a * ra1
+        dz *= scale
+        dzb *= scale
+        np.add(dz, dzb, out=gradient[:, 0])
+        np.subtract(dz, dzb, out=gradient[:, 1])
+        gradient[:, 1] *= 1j
 
-    Six transcendental calls; the last three pairs follow by angle addition.
+
+def exact_fields(sol: SingularSolution, points, velocity=None, gradient=None,
+                 pressure=None):
+    """Exact fields at Cartesian points (n, 2), written into the arrays.
+
+    One pass for all of them: ``velocity`` (n,) complex takes y1 + i y2,
+    ``gradient`` (n, 2) complex the x and y derivatives of y1 + i y2, and
+    ``pressure`` (n,) real the pressure; arrays passed as None are skipped.
     """
-    a, w = sol.alpha, sol.omega
-    ct, st = np.cos(t), np.sin(t)
-    cat, sat = np.cos(a * t), np.sin(a * t)
-    u = a * (w - t)
-    cu, su = np.cos(u), np.sin(u)
-    cw, sw = np.cos(w), np.sin(w)
-    return ((ct, st), (cat, sat), (cu, su),
-            (cw * ct + sw * st, sw * ct - cw * st),
-            (cu * ct - su * st, su * ct + cu * st),
-            (cat * ct + sat * st, sat * ct - cat * st))
-
-
-def _profiles(sol: SingularSolution, theta: np.ndarray):
-    """Angular profiles Phi1, Phi2 of the module docstring."""
-    return _profiles_from(sol, _angles(sol, theta))
-
-
-def _profiles_from(sol: SingularSolution, angles):
-    """Phi1, Phi2 from the (cos, sin) pairs of ``_angles``."""
-    a, w = sol.alpha, sol.omega
-    (_, st), (_, sat), (_, su), (_, s_wt), (c_in, s_in), (c_out, s_out) = \
-        angles
-    phi1 = -sat * np.cos(w) - a * st * c_in + a * s_wt * c_out + su
-    phi2 = -sat * np.sin(w) - a * st * s_in - a * s_wt * s_out
-    return phi1, phi2
-
-
-def _profiles_and_derivatives(sol: SingularSolution, theta: np.ndarray):
-    """Phi1, Phi2, dPhi1/dtheta, dPhi2/dtheta, cos theta and sin theta.
-
-    The angles a (w - t) + t and (a - 1) t have derivatives 1 - a and a - 1.
-    """
-    a, w = sol.alpha, sol.omega
-    angles = _angles(sol, theta)
-    (ct, st), (cat, _), (cu, _), (c_wt, s_wt), (c_in, s_in), (c_out, s_out) \
-        = angles
-    phi1, phi2 = _profiles_from(sol, angles)
-    dphi1 = (-a * cat * np.cos(w)
-             - a * ct * c_in
-             + a * (1.0 - a) * st * s_in
-             - a * c_wt * c_out
-             - a * (a - 1.0) * s_wt * s_out
-             - a * cu)
-    dphi2 = (-a * cat * np.sin(w)
-             - a * ct * s_in
-             - a * (1.0 - a) * st * c_in
-             + a * c_wt * s_out
-             - a * (a - 1.0) * s_wt * c_out)
-    return phi1, phi2, dphi1, dphi2, ct, st
+    pts, r, theta = _polar(sol, points)
+    if sol.alpha < 1.0 and np.any(r == 0.0):
+        if gradient is not None:
+            raise ValueError("velocity gradient is singular at the corner")
+        if pressure is not None:
+            raise ValueError("pressure is singular at the corner")
+    # e^(i t) from the coordinates; the origin takes t = 0 like _polar
+    z = np.ascontiguousarray(pts).view(complex)[:, 0]
+    eit = np.divide(z, r, out=np.ones(len(r), dtype=complex), where=r > 0.0)
+    _fields(sol, r, eit, sol.alpha * theta, velocity, gradient, pressure)
 
 
 def velocity_from_polar(sol: SingularSolution, r, theta) -> np.ndarray:
@@ -142,50 +166,36 @@ def velocity_from_polar(sol: SingularSolution, r, theta) -> np.ndarray:
                          "corner")
     if np.any((theta < 0.0) | (theta > sol.omega)):
         raise ValueError("angle outside the sector [0, omega]")
-    phi1, phi2 = _profiles(sol, theta)
-    ra = r ** sol.alpha
-    return np.column_stack([ra * phi1, ra * phi2])
+    out = np.empty(len(r), dtype=complex)
+    _fields(sol, r, np.cos(theta) + 1j * np.sin(theta), sol.alpha * theta,
+            velocity=out)
+    return out.view(float).reshape(-1, 2)
 
 
 def eval_velocity(sol: SingularSolution, points) -> np.ndarray:
     """Cartesian velocity at one point (shape (2,)) or many (shape (n, 2))."""
-    single = np.asarray(points, dtype=float).ndim == 1
-    pts, r, theta = _polar(sol, points)
-    out = velocity_from_polar(sol, r, theta)
-    return out[0] if single else out
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty(len(pts), dtype=complex)
+    exact_fields(sol, pts, velocity=out)
+    out = out.view(float).reshape(-1, 2)
+    return out[0] if np.ndim(points) == 1 else out
 
 
 def eval_pressure(sol: SingularSolution, points):
     """Pressure at one point (scalar) or many (shape (n,))."""
-    single = np.asarray(points, dtype=float).ndim == 1
-    pts, r, theta = _polar(sol, points)
-    a, w = sol.alpha, sol.omega
-    if np.any(r == 0.0) and a < 1.0:
-        raise ValueError("pressure is singular at the corner")
-    phip = 2.0 * a * (np.sin((a - 1.0) * theta + w)
-                      + np.sin((a - 1.0) * theta - a * w))
-    out = r ** (a - 1.0) * phip
-    return float(out[0]) if single else out
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty(len(pts))
+    exact_fields(sol, pts, pressure=out)
+    return float(out[0]) if np.ndim(points) == 1 else out
 
 
 def eval_velocity_gradient(sol: SingularSolution, points) -> np.ndarray:
-    """Jacobian d y_i / d x_j at one point ((2, 2)) or many ((n, 2, 2)).
-
-    Chain rule through polar coordinates:
-    d/dx = cos t d/dr - sin t / r d/dt,  d/dy = sin t d/dr + cos t / r d/dt.
-    """
-    single = np.asarray(points, dtype=float).ndim == 1
-    pts, r, theta = _polar(sol, points)
-    if np.any(r == 0.0) and sol.alpha < 1.0:
-        raise ValueError("velocity gradient is singular at the corner")
-    a = sol.alpha
-    phi1, phi2, dphi1, dphi2, c, s = _profiles_and_derivatives(sol, theta)
-    ra1 = r ** (a - 1.0)
-    out = np.empty((len(pts), 2, 2))
-    for i, (phi, dphi) in enumerate(((phi1, dphi1), (phi2, dphi2))):
-        out[:, i, 0] = ra1 * (a * c * phi - s * dphi)
-        out[:, i, 1] = ra1 * (a * s * phi + c * dphi)
-    return out[0] if single else out
+    """Jacobian d y_i / d x_j at one point ((2, 2)) or many ((n, 2, 2))."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty((len(pts), 2), dtype=complex)
+    exact_fields(sol, pts, gradient=out)
+    out = out.view(float).reshape(-1, 2, 2).swapaxes(1, 2)
+    return out[0] if np.ndim(points) == 1 else out
 
 
 # largest omega wins; for the two study domains the corner at the origin is

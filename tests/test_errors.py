@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from stokesbc import _kernels, cli, errors
 from stokesbc.assembly import DiscreteSolution
 from stokesbc.errors import (ErrorQuadrature, eoc, expected_order,
                              h1_seminorm_velocity_error, l2_pressure_error,
                              l2_velocity_error)
 from stokesbc.fe_spaces import TAYLOR_HOOD, build_dofmap
 from stokesbc.manufactured import (SingularSolution, eval_pressure,
-                                   eval_velocity)
+                                   eval_velocity, exact_fields)
 from stokesbc.mesh import build_domain, refine_uniform
 
 XI = 0.544483736782464
@@ -149,6 +150,57 @@ def test_triangle_inequality():
     zero = SingularSolution(alpha=0.0, omega=3 * np.pi / 2)
     e_gap = l2_velocity_error(gap, zero, quad)
     assert lhs <= e_interp + e_gap + 1e-12
+
+
+def test_each_error_point_is_evaluated_once_per_level(monkeypatch):
+    quads, evaluated = [], []
+
+    class Recorded(ErrorQuadrature):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            quads.append(self)
+
+    def counted(sol, points, **fields):
+        evaluated.append(len(points))
+        return exact_fields(sol, points, **fields)
+
+    reduced = []
+    for name in ("l2_accumulate", "h1_accumulate"):
+        def kernel(*args, _kernel=getattr(_kernels, name)):
+            reduced.append(args[-2].size)  # the weights
+            return _kernel(*args)
+        monkeypatch.setattr(_kernels, name, kernel)
+    monkeypatch.setattr(cli, "ErrorQuadrature", Recorded)
+    monkeypatch.setattr(errors, "exact_fields", counted)
+    monkeypatch.setattr(errors, "CHUNK", 2 ** 8)  # below a level-2 batch
+    records = cli.run_convergence(cli.StudyConfig(domain="nonconvex",
+                                                  levels=2))
+    assert all(r.err_l2_pressure is not None for r in records)
+    assert len(quads) == 2
+    points = sum(b.weights.size for q in quads for b in q.batches)
+    assert sum(evaluated) == points
+    # both velocity norms reduce every point once, in bounded chunks
+    assert sum(reduced) == 2 * points
+    assert max(evaluated + reduced) <= errors.CHUNK
+
+
+def test_reused_quadrature_matches_a_fresh_one(quadratic_setup):
+    # the exact fields kept for one solution must not serve the next one
+    first, mesh, dofmap = quadratic_setup
+    y_h = interpolant_of(first, mesh, dofmap)
+    reused = ErrorQuadrature(mesh, dofmap)
+
+    def norms(sol, quad):
+        out = [l2_velocity_error(y_h, sol, quad)]
+        if sol.alpha > 0:
+            out += [h1_seminorm_velocity_error(y_h, sol, quad),
+                    l2_pressure_error(y_h, sol, quad)]
+        return out
+
+    for alpha in (2.0, 0.5, -0.3, 0.5, 2.0):
+        sol = SingularSolution(alpha=alpha, omega=first.omega)
+        assert norms(sol, reused) == norms(sol, ErrorQuadrature(mesh,
+                                                                dofmap))
 
 
 def test_eoc_values():

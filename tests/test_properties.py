@@ -22,9 +22,9 @@ from stokesbc.errors import (ErrorQuadrature, h1_seminorm_velocity_error,
                              l2_pressure_error, l2_velocity_error)
 from stokesbc.fe_spaces import (build_dofmap, edge_trace_nodes,
                                 edge_trace_values, pairing_from_name)
-from stokesbc.manufactured import (SingularSolution,
-                                   _profiles, _profiles_and_derivatives,
-                                   eval_pressure, eval_velocity)
+from stokesbc.manufactured import (SingularSolution, eval_pressure,
+                                   eval_velocity, eval_velocity_gradient,
+                                   exact_fields, velocity_from_polar)
 from stokesbc.mesh import Mesh, build_domain, refine_uniform
 from stokesbc.solver import solve, solve_linear
 
@@ -381,8 +381,8 @@ def test_kernels_match_einsum_references(n, nq, nl, shared, seed):
 
 
 def docstring_profiles(a, w, t):
-    """Phi1, Phi2 as written in the manufactured module docstring; ``t`` may
-    be complex."""
+    """Phi1, Phi2 and Phip as written in the manufactured module docstring;
+    ``t`` may be complex."""
     phi1 = (-np.sin(a * t) * np.cos(w)
             - a * np.sin(t) * np.cos(a * (w - t) + t)
             + a * np.sin(w - t) * np.cos(a * t - t)
@@ -390,27 +390,56 @@ def docstring_profiles(a, w, t):
     phi2 = (-np.sin(a * t) * np.sin(w)
             - a * np.sin(t) * np.sin(a * (w - t) + t)
             - a * np.sin(w - t) * np.sin(a * t - t))
-    return np.array([phi1, phi2])
+    phip = 2 * a * (np.sin((a - 1) * t + w) + np.sin((a - 1) * t - a * w))
+    return np.array([phi1, phi2]), phip
 
 
 @PROPERTY
 @given(a=st.floats(-1.0, 3.0, exclude_min=True, exclude_max=True).filter(
            lambda a: a == 0.0 or abs(a) >= 1e-6),  # no underflowing steps
        omega=st.sampled_from(sorted(DOMAIN_ANGLES.values())), seed=seeds)
-def test_profiles_match_the_docstring_formulas(a, omega, seed):
-    theta = np.concatenate([[0.0, omega], np.random.default_rng(seed).uniform(
-        0.0, omega, 64)])
+def test_exact_fields_match_the_docstring_formulas(a, omega, seed):
+    rng = np.random.default_rng(seed)
+    # both rays, a rounding step off them (snapped onto them) and 1e-7 off
+    # them, and interior angles, at radii 1e-3 to 3; then radii 1e-10 to
+    # 1e-8, where the ray snapping of the polar split widens to 1e-2 rad
+    theta = np.concatenate([[0.0, omega, 1e-15, omega - 1e-15, 1e-7,
+                             omega - 1e-7], rng.uniform(0.0, omega, 42),
+                            rng.uniform(0.1 * omega, 0.9 * omega, 16)])
+    r = 10.0 ** np.concatenate([rng.uniform(-3.0, 0.5, 48),
+                                rng.uniform(-10.0, -8.0, 16)])
+    r[:2] = 10.0 ** rng.uniform(-12.0, 0.5, 2)  # exactly on the rays
+    points = r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
     sol = SingularSolution(a, omega)
-    phi = docstring_profiles(a, omega, theta)
+    phi, phip = docstring_profiles(a, omega, theta)
     # complex-step derivative: exact up to rounding, no cancellation
     step = 1e-30
-    dphi = docstring_profiles(a, omega, theta + 1j * step).imag / step
-    phi1, phi2, dphi1, dphi2, cos, sin = _profiles_and_derivatives(sol,
-                                                                   theta)
-    tol = 1e-14 * np.abs(phi).max()
-    assert np.abs(np.array(_profiles(sol, theta)) - phi).max() <= tol
-    assert np.abs(np.array([phi1, phi2]) - phi).max() <= tol
-    assert np.abs(np.array([dphi1, dphi2]) - dphi).max() \
-        <= 1e-14 * np.abs(dphi).max()
-    assert np.array_equal(cos, np.cos(theta))
-    assert np.array_equal(sin, np.sin(theta))
+    dphi = docstring_profiles(a, omega, theta + 1j * step)[0].imag / step
+    # chain rule through polar coordinates, without the factor r^(a - 1)
+    c, s = np.cos(theta), np.sin(theta)
+    grad = np.stack([a * c * phi - s * dphi, a * s * phi + c * dphi], axis=-1)
+
+    velocity = np.empty(len(r), dtype=complex)
+    pressure = np.empty(len(r))
+    fields = {"velocity": velocity, "pressure": pressure}
+    if a > 0:
+        fields["gradient"] = np.empty((len(r), 2), dtype=complex)
+    exact_fields(sol, points, **fields)
+
+    def close(value, ref):
+        # |a| scales a field that vanishes identically: p at a = 1
+        return (np.abs(value - ref).max()
+                <= 1e-12 * max(np.abs(ref).max(), abs(a)))
+
+    assert close(np.array([velocity.real, velocity.imag]) / r ** a, phi)
+    assert close(velocity_from_polar(sol, r, theta).T / r ** a, phi)
+    assert close(pressure / r ** (a - 1), phip)
+    assert np.array_equal(eval_velocity(sol, points),
+                          np.column_stack([velocity.real, velocity.imag]))
+    assert np.array_equal(eval_pressure(sol, points), pressure)
+    if a > 0:
+        gradient = eval_velocity_gradient(sol, points)  # [n, i, j]
+        assert close(gradient.transpose(1, 0, 2) / r[:, None] ** (a - 1),
+                     grad)
+        g = fields["gradient"]
+        assert np.array_equal(gradient, np.stack([g.real, g.imag], axis=1))
