@@ -9,8 +9,7 @@ corner-singular solutions on convex and reentrant test domains.
 
 from .assembly import (BorderedSystem, DiscreteSolution,
                        assemble_bordered_system, assemble_boundary_mass,
-                       assemble_divergence, assemble_stiffness,
-                       boundary_flux, compute_delta_h, dump_coo)
+                       assemble_divergence, boundary_flux, compute_delta_h)
 from .boundary_data import (BoundaryDatum, BoundaryTrace,
                             CompatibilityCorrector, build_corrector,
                             enforce_compatibility, interpolate_carstensen,
@@ -22,12 +21,11 @@ from .errors import (ConvergenceRecord, ErrorQuadrature, eoc, expected_order,
                      h1_seminorm_velocity_error, l2_pressure_error,
                      l2_velocity_error)
 from .fe_spaces import (MINI, TAYLOR_HOOD, DofMap, ElementPairing,
-                        QuadratureRule, build_dofmap, quadrature,
-                        shape_values)
+                        QuadratureRule, build_dofmap, quadrature)
 from .manufactured import (SingularSolution, eval_pressure, eval_velocity,
                            eval_velocity_gradient, solve_xi)
-from .mesh import (Mesh, Polygon, boundary_arclength, build_domain,
-                   dump_mesh, refine_uniform, unit_square)
+from .mesh import (Mesh, Polygon, build_domain, refine_uniform,
+                   unit_square)
 from .solver import LinearSolveReport, solve, solve_linear
 
 __version__ = "0.1.0"

@@ -32,12 +32,11 @@ from .mesh import Mesh
 __all__ = [
     "BorderedSystem",
     "DiscreteSolution",
-    "assemble_stiffness",
     "assemble_divergence",
     "assemble_boundary_mass",
+    "boundary_flux",
     "compute_delta_h",
     "assemble_bordered_system",
-    "dump_coo",
 ]
 
 # exact for every bilinear-form integrand of both pairings; the MINI
@@ -47,25 +46,15 @@ ASSEMBLY_QUAD_DEGREE = 4
 
 def _local_blocks(mesh: Mesh, dofmap: DofMap):
     rule = quadrature(ASSEMBLY_QUAD_DEGREE)
-    vals_v, grads_v = _tabulate(dofmap.pairing, "velocity", rule.points)
-    vals_p, _ = _tabulate(dofmap.pairing, "pressure", rule.points)
+    _, grads_v = _tabulate(dofmap.pairing, rule.points)
     tri_xy = mesh.vertices[mesh.triangles]
+    # the P1 pressure basis values are the barycentric points
     kloc, dloc, detj = _kernels.local_matrices(
         np.ascontiguousarray(tri_xy), np.ascontiguousarray(grads_v),
-        np.ascontiguousarray(vals_p), rule.weights)
+        rule.points, rule.weights)
     if np.any(detj <= 0):
         raise ValueError("degenerate element (non-positive Jacobian)")
     return kloc, dloc
-
-
-def assemble_stiffness(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
-    """Vector-Laplacian Galerkin matrix over all velocity dofs.
-
-    The two components do not couple, so the matrix is block diagonal with
-    two copies of the scalar stiffness matrix.
-    """
-    scalar = _stiffness_matrix(_local_blocks(mesh, dofmap)[0], dofmap)
-    return sp.block_diag([scalar, scalar], format="csr")
 
 
 def assemble_divergence(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
@@ -294,13 +283,3 @@ def galerkin_residual(system: BorderedSystem, sol: DiscreteSolution) -> float:
                         sol.pressure])
     r = system.apply(x) - system.rhs()
     return float(np.abs(r).max())
-
-
-def dump_coo(matrix) -> str:
-    """Coordinate-format text dump (row col value per line), sorted by row, col."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    lines = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-    for k in order:
-        lines.append(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}")
-    return "\n".join(lines) + "\n"

@@ -146,6 +146,9 @@ def run_convergence(config: StudyConfig) -> list[ConvergenceRecord]:
                 setattr(rec, f"eoc_{name}",
                         eoc(getattr(records[-1], f"err_{name}"), err))
         records.append(rec)
+        # free this level's matrices and exact fields before the next
+        # level's assembly and solve
+        del system, y_h, quad
     return records
 
 

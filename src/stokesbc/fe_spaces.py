@@ -27,7 +27,6 @@ __all__ = [
     "MINI",
     "QuadratureRule",
     "quadrature",
-    "shape_values",
     "DofMap",
     "build_dofmap",
 ]
@@ -121,23 +120,17 @@ def gauss_legendre_unit(n: int):
 N_LOCAL_VELOCITY = {"taylor_hood": 6, "mini": 4}
 
 
-def _tabulate(pairing: ElementPairing, which: str, bary: np.ndarray):
-    """Basis values and reference gradients at barycentric points.
+def _tabulate(pairing: ElementPairing, bary: np.ndarray):
+    """Velocity basis values and reference gradients at barycentric points.
 
     Returns ``(values, grads)`` with shapes (npts, nloc) and (npts, nloc, 2).
     Gradients are with respect to the reference coordinates (x, y) with
-    barycentric coordinates (1 - x - y, x, y).
+    barycentric coordinates (1 - x - y, x, y).  The P1 pressure basis values
+    are the barycentric coordinates themselves.
     """
-    bary = np.atleast_2d(np.asarray(bary, dtype=float))
-    lam = bary
+    lam = np.atleast_2d(np.asarray(bary, dtype=float))
     # gradients of the barycentric coordinates
     glam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    if which == "pressure":
-        vals = lam.copy()
-        grads = np.broadcast_to(glam, (len(lam), 3, 2)).copy()
-        return vals, grads
-    if which != "velocity":
-        raise ValueError(f"unknown basis family {which!r}")
     if pairing.kind == "taylor_hood":
         vals = np.empty((len(lam), 6))
         grads = np.empty((len(lam), 6, 2))
@@ -160,20 +153,6 @@ def _tabulate(pairing: ElementPairing, which: str, bary: np.ndarray):
         + 27.0 * (lam[:, 0] * lam[:, 2])[:, None] * glam[1] \
         + 27.0 * (lam[:, 0] * lam[:, 1])[:, None] * glam[2]
     return vals, grads
-
-
-def shape_values(pairing: ElementPairing, which: str, point):
-    """Basis values and reference gradients at a single barycentric point.
-
-    Raises if the point lies outside the closed reference triangle.
-    """
-    point = np.asarray(point, dtype=float)
-    if point.shape != (3,):
-        raise ValueError("point must be a barycentric triple")
-    if np.any(point < -1e-12) or abs(point.sum() - 1.0) > 1e-12:
-        raise ValueError("point outside the reference element")
-    vals, grads = _tabulate(pairing, which, point[None, :])
-    return vals[0], grads[0]
 
 
 def edge_trace_values(pairing: ElementPairing, t: np.ndarray) -> np.ndarray:

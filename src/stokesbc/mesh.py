@@ -22,8 +22,6 @@ __all__ = [
     "build_domain",
     "unit_square",
     "refine_uniform",
-    "boundary_arclength",
-    "dump_mesh",
 ]
 
 
@@ -53,10 +51,6 @@ class Polygon:
     @property
     def n_edges(self) -> int:
         return self.vertices.shape[0]
-
-    @property
-    def edge_starts(self) -> np.ndarray:
-        return self.vertices
 
     @property
     def edge_vectors(self) -> np.ndarray:
@@ -221,10 +215,9 @@ def _make_mesh(polygon, vertices, triangles):
     # match each boundary edge to its polygon edge via midpoint collinearity
     mids = 0.5 * (vertices[bnd[:, 0]] + vertices[bnd[:, 1]])
     parent = np.empty(len(bnd), dtype=np.int64)
-    starts = polygon.edge_starts
     tangents = polygon.edge_vectors / polygon.edge_lengths[:, None]
     for i, m in enumerate(mids):
-        rel = m - starts
+        rel = m - polygon.vertices
         along = rel[:, 0] * tangents[:, 0] + rel[:, 1] * tangents[:, 1]
         perp = np.abs(rel[:, 0] * tangents[:, 1] - rel[:, 1] * tangents[:, 0])
         ok = np.where((perp < 1e-12) & (along > -1e-12)
@@ -306,22 +299,3 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     bnd = np.column_stack([a, m, m, b]).reshape(-1, 2)
     return Mesh(mesh.polygon, vertices, children, bnd,
                 np.repeat(mesh.boundary_parent, 2))
-
-
-def boundary_arclength(mesh: Mesh) -> float:
-    """Total length of the mesh boundary."""
-    return float(mesh.boundary_edge_lengths().sum())
-
-
-def dump_mesh(mesh: Mesh) -> str:
-    """Plain-text mesh dump: header ``nv nt nbe``, then vertex coordinates,
-    triangle index triples, and boundary edge records (v0 v1 parent nx ny)."""
-    lines = [f"{mesh.n_vertices} {mesh.n_triangles} {mesh.n_boundary_edges}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.17g} {y:.17g}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"{a} {b} {c}")
-    for (a, b), p, (nx, ny) in zip(mesh.boundary_edges, mesh.boundary_parent,
-                                   mesh.boundary_normals):
-        lines.append(f"{a} {b} {p} {nx:.17g} {ny:.17g}")
-    return "\n".join(lines) + "\n"

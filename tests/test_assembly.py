@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from stokesbc._kernels import local_matrices
-from stokesbc.assembly import (assemble_bordered_system,
+from stokesbc.assembly import (_local_blocks, _stiffness_matrix,
+                               assemble_bordered_system,
                                assemble_boundary_mass, assemble_divergence,
-                               assemble_stiffness, boundary_flux,
-                               compute_delta_h, dump_coo, galerkin_residual)
+                               boundary_flux, compute_delta_h,
+                               galerkin_residual)
 from stokesbc.boundary_data import BoundaryTrace
 from stokesbc.fe_spaces import (MINI, TAYLOR_HOOD, _tabulate, build_dofmap,
                                 quadrature)
@@ -40,10 +41,9 @@ def test_p1_reference_local_stiffness():
     # MINI's vertex block on the reference triangle is the P1 stiffness
     tri = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
     rule = quadrature(4)
-    _, grads = _tabulate(MINI, "velocity", rule.points)
-    vals_p, _ = _tabulate(MINI, "pressure", rule.points)
+    _, grads = _tabulate(MINI, rule.points)
     kloc, _, detj = local_matrices(tri, np.ascontiguousarray(grads),
-                                   vals_p, rule.weights)
+                                   rule.points, rule.weights)
     expected = 0.5 * np.array([[2.0, -1.0, -1.0],
                                [-1.0, 1.0, 0.0],
                                [-1.0, 0.0, 1.0]])
@@ -51,18 +51,21 @@ def test_p1_reference_local_stiffness():
     assert detj[0] == pytest.approx(1.0)
 
 
+def scalar_stiffness(mesh, dm):
+    """The scalar stiffness over all scalar velocity dofs."""
+    return _stiffness_matrix(_local_blocks(mesh, dm)[0], dm)
+
+
 @pytest.mark.parametrize("pairing", [TAYLOR_HOOD, MINI])
 def test_stiffness_symmetric_and_kills_constants(pairing, lshape_th):
     mesh, _ = lshape_th
     dm = build_dofmap(mesh, pairing)
-    K = assemble_stiffness(mesh, dm)
+    K = scalar_stiffness(mesh, dm)
     assert abs(K - K.T).max() < 1e-14
-    ones = np.ones(2 * dm.n_scalar_velocity)
+    ones = np.ones(dm.n_scalar_velocity)
     if pairing.kind == "mini":
         # constants live in the P1 part only
-        ones = np.zeros(2 * dm.n_scalar_velocity)
-        ones[:mesh.n_vertices] = 1.0
-        ones[dm.n_scalar_velocity:dm.n_scalar_velocity + mesh.n_vertices] = 1.0
+        ones[mesh.n_vertices:] = 0.0
     resid = K @ ones
     assert np.abs(resid).max() < 1e-12
 
@@ -70,12 +73,12 @@ def test_stiffness_symmetric_and_kills_constants(pairing, lshape_th):
 def test_mini_stiffness_has_no_bubble_vertex_entries():
     mesh = refine_uniform(refine_uniform(build_domain("convex")))
     dm = build_dofmap(mesh, MINI)
-    K = assemble_stiffness(mesh, dm).tocoo()
-    ns, nv = dm.n_scalar_velocity, mesh.n_vertices
-    bubble_row = K.row % ns >= nv
-    bubble_col = K.col % ns >= nv
+    K = scalar_stiffness(mesh, dm).tocoo()
+    nv = mesh.n_vertices
+    bubble_row = K.row >= nv
+    bubble_col = K.col >= nv
     assert not np.any(bubble_row != bubble_col)
-    assert np.count_nonzero(bubble_row) == 2 * mesh.n_triangles
+    assert np.count_nonzero(bubble_row) == mesh.n_triangles
 
 
 def test_divergence_of_identity_field(lshape_th):
@@ -239,16 +242,3 @@ def test_boundary_values_imposed_exactly(lshape_th):
     system = assemble_bordered_system(mesh, dm, trace)
     sol, _ = solve(system)
     assert np.array_equal(sol.velocity[dm.boundary_dofs], trace)
-
-
-def test_dump_coo_format():
-    mesh = unit_square()
-    dm = build_dofmap(mesh, MINI)
-    text = dump_coo(assemble_boundary_mass(mesh, dm))
-    lines = text.strip().splitlines()
-    n, m, nnz = (int(x) for x in lines[0].split())
-    assert (n, m) == (4, 4)
-    assert len(lines) == nnz + 1
-    r, c, v = lines[1].split()
-    assert (int(r), int(c)) == (0, 0)
-    assert float(v) == pytest.approx(4 / 6)

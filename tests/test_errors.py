@@ -24,12 +24,12 @@ def interpolant_of(sol, mesh, dofmap):
     velocity = eval_velocity(sol, pts)
     pressure = np.array([eval_pressure(sol, p) for p in mesh.vertices])
     # shift to zero mean like the discrete normalization
-    from stokesbc.fe_spaces import quadrature, _tabulate
+    from stokesbc.fe_spaces import quadrature
     rule = quadrature(4)
-    vals_p, _ = _tabulate(dofmap.pairing, "pressure", rule.points)
     areas = mesh.triangle_areas()
     coefs = pressure[dofmap.cell_pressure]
-    total = float(np.einsum("q,qi,ni,n->", rule.weights, vals_p, coefs,
+    # the P1 pressure basis values are the barycentric points
+    total = float(np.einsum("q,qi,ni,n->", rule.weights, rule.points, coefs,
                             2 * areas))
     pressure = pressure - total / mesh.polygon.area
     return DiscreteSolution(velocity=velocity, pressure=pressure, delta_h=0.0)
@@ -182,6 +182,20 @@ def test_each_error_point_is_evaluated_once_per_level(monkeypatch):
     # both velocity norms reduce every point once, in bounded chunks
     assert sum(reduced) == 2 * points
     assert max(evaluated + reduced) <= errors.CHUNK
+
+
+@pytest.mark.parametrize("domain_id", ["convex", "nonconvex"])
+def test_pressure_error_independent_of_chunk_size(monkeypatch, domain_id):
+    # the chunks combine about the global mean; their size must not show
+    mesh = refine_uniform(refine_uniform(build_domain(domain_id)))
+    dofmap = build_dofmap(mesh, TAYLOR_HOOD)
+    sol = SingularSolution(alpha=0.5, omega=cli.DOMAIN_ANGLES[domain_id])
+    y_h = zero_solution(dofmap)
+    y_h.pressure = np.random.default_rng(5).standard_normal(dofmap.n_pressure)
+    whole = l2_pressure_error(y_h, sol, ErrorQuadrature(mesh, dofmap))
+    monkeypatch.setattr(errors, "CHUNK", 64)
+    chunked = l2_pressure_error(y_h, sol, ErrorQuadrature(mesh, dofmap))
+    assert chunked == pytest.approx(whole, rel=1e-13, abs=0)
 
 
 def test_reused_quadrature_matches_a_fresh_one(quadratic_setup):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from stokesbc.mesh import (Polygon, boundary_arclength, build_domain,
-                           dump_mesh, refine_uniform, unit_square)
+from stokesbc.mesh import Polygon, build_domain, refine_uniform, unit_square
 
 
 @pytest.fixture(params=["convex", "nonconvex"])
@@ -76,14 +75,15 @@ def test_area_preserved(domain):
 
 
 def test_boundary_arclength_values():
-    assert boundary_arclength(unit_square()) == pytest.approx(4.0)
-    assert boundary_arclength(build_domain("nonconvex")) == pytest.approx(8.0)
+    assert unit_square().boundary_edge_lengths().sum() == pytest.approx(4.0)
+    assert build_domain("nonconvex").boundary_edge_lengths().sum() == \
+        pytest.approx(8.0)
 
 
 def test_boundary_arclength_refinement_invariant(domain):
-    length = boundary_arclength(domain)
-    assert boundary_arclength(refine_uniform(domain)) == pytest.approx(
-        length, rel=1e-14)
+    length = domain.boundary_edge_lengths().sum()
+    assert refine_uniform(domain).boundary_edge_lengths().sum() == \
+        pytest.approx(length, rel=1e-14)
 
 
 def test_divergence_theorem(domain):
@@ -137,12 +137,3 @@ def test_conformity(domain):
     key = np.sort(edges, axis=1)
     _, counts = np.unique(key, axis=0, return_counts=True)
     assert np.all(counts <= 2)
-
-
-def test_dump_roundtrip_header(domain):
-    text = dump_mesh(domain)
-    header = text.splitlines()[0].split()
-    assert [int(x) for x in header] == [domain.n_vertices,
-                                        domain.n_triangles,
-                                        domain.n_boundary_edges]
-    assert dump_mesh(domain) == text  # deterministic
