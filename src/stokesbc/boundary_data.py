@@ -117,10 +117,10 @@ def _boundary_rule(mesh: Mesh, datum: BoundaryDatum):
     Returns ``(edge, t, w)``: the boundary edge of each point, its parameter
     ``t`` in [0, 1] along that edge and its arclength weight.  Boundary
     edges are cut at the declared jump points and into ``CORNER_LEVELS``
-    dyadic layers on the two edges at the origin, for every datum: the
-    layers resolve the corner singularity of the study data and cost a
-    smooth datum only extra points.  Every segment gets ``GAUSS_POINTS``
-    points.
+    dyadic layers on the two edges at the origin, the first and the last
+    (see :class:`~stokesbc.mesh.Mesh`), for every datum: the layers resolve
+    the corner singularity of the study data and cost a smooth datum only
+    extra points.  Every segment gets ``GAUSS_POINTS`` points.
     """
     lengths = mesh.boundary_edge_lengths()
     offsets = mesh.boundary_edge_offsets()
@@ -134,15 +134,11 @@ def _boundary_rule(mesh: Mesh, datum: BoundaryDatum):
               & (local < lengths * (1 - 1e-14)))
         cut_edge.append(every[on])
         cut_at.append(local[on])
-    # the origin is the start of polygon edge 0 and the end of the last
-    last = mesh.polygon.n_edges - 1
-    ends_at_origin = np.abs(offsets + lengths
-                            - mesh.polygon.edge_lengths[last]) < 1e-12
+    # boundary edge 0 starts at the origin and the last one ends there
     dyadic = 0.5 ** np.arange(1, CORNER_LEVELS + 1)
-    for on, layers in (((parents == 0) & (offsets < 1e-14), dyadic),
-                       ((parents == last) & ends_at_origin, 1.0 - dyadic)):
-        cut_edge.append(np.repeat(every[on], CORNER_LEVELS))
-        cut_at.append(np.outer(lengths[on], layers).ravel())
+    cut_edge.append(np.repeat(every[[0, -1]], CORNER_LEVELS))
+    cut_at.append(np.concatenate([lengths[0] * dyadic,
+                                  lengths[-1] * (1.0 - dyadic)]))
     cut_edge, cut_at = np.concatenate(cut_edge), np.concatenate(cut_at)
     order = np.lexsort((cut_at, cut_edge))
     cut_edge, cut_at = cut_edge[order], cut_at[order]

@@ -40,7 +40,7 @@ __all__ = [
     "main",
 ]
 
-DOMAIN_ANGLES = {"convex": 2 * np.pi / 3, "nonconvex": 3 * np.pi / 2}
+DOMAINS = ("convex", "nonconvex")
 PAIRINGS = ("taylor_hood", "mini")
 PROJECTORS = {
     "l2": project_l2,
@@ -74,10 +74,10 @@ class StudyConfig:
     output: str = "markdown"
 
     def validate(self) -> None:
-        if self.domain not in DOMAIN_ANGLES:
+        if self.domain not in DOMAINS:
             raise ConfigError(f"unknown domain {self.domain!r}")
-        if not self.alpha_sing > -1.0:
-            raise ConfigError("alpha must exceed -1")
+        if not (np.isfinite(self.alpha_sing) and self.alpha_sing > -1.0):
+            raise ConfigError("alpha must be finite and exceed -1")
         if self.pairing not in PAIRINGS:
             raise ConfigError(f"unknown element pairing {self.pairing!r}")
         if self.projector not in PROJECTORS:
@@ -90,8 +90,8 @@ class StudyConfig:
         if not 1 <= self.quad_degree <= MAX_QUAD_DEGREE:
             raise ConfigError(f"quad-degree must lie in [1, "
                               f"{MAX_QUAD_DEGREE}]")
-        if self.alpha_reg < 0:
-            raise ConfigError("alpha-reg must be nonnegative")
+        if not (np.isfinite(self.alpha_reg) and self.alpha_reg >= 0):
+            raise ConfigError("alpha-reg must be finite and nonnegative")
         if self.output not in OUTPUTS:
             raise ConfigError(f"unknown output format {self.output!r}")
         if self.projector == "lagrange" and self.alpha_sing <= 0:
@@ -112,10 +112,10 @@ def approximate_datum(config: StudyConfig, datum: BoundaryDatum, mesh,
 def run_convergence(config: StudyConfig) -> list[ConvergenceRecord]:
     """Refinement loop: project datum, solve, measure errors, compute eoc."""
     config.validate()
-    sol = SingularSolution(alpha=config.alpha_sing,
-                           omega=DOMAIN_ANGLES[config.domain])
-    pairing = pairing_from_name(config.pairing)
     mesh = build_domain(config.domain)
+    sol = SingularSolution(alpha=config.alpha_sing,
+                           omega=mesh.polygon.corner_angle)
+    pairing = pairing_from_name(config.pairing)
     datum = trace_of_solution(mesh.polygon, sol)
     # the H1 and pressure errors are infinite for alpha <= 0; the norms are
     # looked up here, not at import, so that patched module names count
@@ -161,28 +161,24 @@ class CounterexampleReport:
     flux_carstensen: float
     tol: float = 1e-12
 
+    def _checks(self):
+        """(label, flux, exact value, within tol) of each flux."""
+        return [(label, value, target, abs(value - target) <= self.tol)
+                for label, value, target in (
+                    ("exact datum      <u, n>", self.flux_exact, 0.0),
+                    ("L2 projection    <u_h, n>", self.flux_l2, 3.0 / 16.0),
+                    ("weighted average <u_h, n>", self.flux_carstensen,
+                     1.0 / 8.0))]
+
     @property
     def passed(self) -> bool:
-        return (abs(self.flux_exact) <= self.tol
-                and abs(self.flux_l2 - 3.0 / 16.0) <= self.tol
-                and abs(self.flux_carstensen - 1.0 / 8.0) <= self.tol)
+        return all(ok for *_, ok in self._checks())
 
     def lines(self) -> list[str]:
-        def verdict(ok):
-            return "PASS" if ok else "FAIL"
-
-        items = [
-            ("exact datum      <u, n>", self.flux_exact, 0.0),
-            ("L2 projection    <u_h, n>", self.flux_l2, 3.0 / 16.0),
-            ("weighted average <u_h, n>", self.flux_carstensen, 1.0 / 8.0),
-        ]
-        out = []
-        for label, value, target in items:
-            ok = abs(value - target) <= self.tol
-            out.append(f"{label} = {value:+.15f}  expected "
-                       f"{Fraction(target).limit_denominator(32)}  "
-                       f"{verdict(ok)}")
-        return out
+        return [f"{label} = {value:+.15f}  expected "
+                f"{Fraction(target).limit_denominator(32)}  "
+                f"{'PASS' if ok else 'FAIL'}"
+                for label, value, target, ok in self._checks()]
 
 
 def counterexample_datum() -> BoundaryDatum:
@@ -289,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     conv = sub.add_parser("convergence", help="run a refinement study")
     conv.add_argument("--config", help="key=value config file (flags win)")
-    conv.add_argument("--domain", choices=tuple(DOMAIN_ANGLES))
+    conv.add_argument("--domain", choices=DOMAINS)
     conv.add_argument("--alpha", type=float, dest="alpha_sing")
     conv.add_argument("--element", choices=PAIRINGS, dest="pairing")
     conv.add_argument("--projector", choices=tuple(PROJECTORS))
@@ -359,7 +355,8 @@ def main(argv=None) -> int:
             config = _config_from_args(args)
             records = run_convergence(config)
             target = expected_order(
-                config.alpha_sing, DOMAIN_ANGLES[config.domain],
+                config.alpha_sing,
+                build_domain(config.domain).polygon.corner_angle,
                 pairing_from_name(config.pairing).velocity_order)
             text = emit_table(records, config.output, expected=target)
         if out_path:

@@ -6,6 +6,11 @@ origin and one incident edge along the positive x-axis:
 * ``convex``: an isosceles triangle with interior angle 2*pi/3 at the origin,
 * ``nonconvex``: an L-shaped hexagon with reentrant angle 3*pi/2 at the origin.
 
+Every mesh declares that corner instead of leaving it to be searched for:
+vertex 0 is exactly the origin, boundary edge 0 starts there and the last
+boundary edge ends there (:class:`Mesh` checks it, refinement keeps it).
+The corner angle is read off the polygon's vertices.
+
 Meshes are immutable after construction and may be shared freely between
 threads.  Refinement always produces a new mesh.
 """
@@ -29,13 +34,12 @@ __all__ = [
 class Polygon:
     """Simple closed polygon traversed counter-clockwise.
 
-    Vertex 0 sits at the origin and the outgoing edge from it lies along the
+    Vertex 0 is exactly the origin and edge 0 runs from it along the
     positive x-axis, so the interior angle at the origin opens the sector
-    ``theta in [0, corner_angle]``.
+    ``theta in [0, corner_angle]`` and ends at the last vertex.
     """
 
     vertices: np.ndarray
-    corner_angle: float
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)  # a private, frozen copy
@@ -43,10 +47,19 @@ class Polygon:
         object.__setattr__(self, "vertices", v)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValueError("polygon needs an (n, 2) vertex array with n >= 3")
-        if np.hypot(*v[0]) > 1e-14:
+        if np.any(v[0] != 0):
             raise ValueError("polygon vertex 0 must be the origin")
+        if v[1, 1] != 0 or v[1, 0] <= 0:
+            raise ValueError("polygon edge 0 must run along the positive "
+                             "x-axis")
         if self.area <= 0:
             raise ValueError("polygon vertices must be ordered counter-clockwise")
+
+    @property
+    def corner_angle(self) -> float:
+        """Interior angle at the origin: the polar angle of the last vertex."""
+        x, y = self.vertices[-1]
+        return float(np.arctan2(y, x) % (2 * np.pi))
 
     @property
     def n_edges(self) -> int:
@@ -86,6 +99,10 @@ class Polygon:
 
 class Mesh:
     """Conforming triangulation of a :class:`Polygon`.
+
+    Vertex 0 is exactly the origin, the polygon's corner, and boundary edge
+    0 starts there, so the last boundary edge ends there; the constructor
+    rejects a mesh that breaks this.
 
     Attributes
     ----------
@@ -136,6 +153,9 @@ class Mesh:
         end = self.boundary_edges[:, 1]
         if not np.array_equal(np.roll(start, -1), end):
             raise ValueError("boundary edges are not chained")
+        if np.any(self.vertices[0] != 0) or start[0] != 0:
+            raise ValueError("vertex 0 must be the origin and boundary edge "
+                             "0 must start there")
 
     @property
     def n_vertices(self) -> int:
@@ -171,22 +191,6 @@ class Mesh:
         return np.hypot(*(starts - self.polygon.vertices[self.boundary_parent]).T)
 
 
-def _close_chain(edges):
-    """Reorder (start, end) pairs into a single closed chain starting at the
-    smallest start vertex."""
-    nxt = {int(a): (int(b), k) for k, (a, b) in enumerate(edges)}
-    first = min(nxt)
-    cur = first
-    order = []
-    for _ in range(len(edges)):
-        b, k = nxt[cur]
-        order.append(k)
-        cur = b
-    if cur != first or len(set(order)) != len(edges):
-        raise ValueError("boundary does not form a single closed loop")
-    return order
-
-
 def _edge_key(a, b, n_vertices):
     """Integer key of the undirected edge {a, b}.
 
@@ -202,32 +206,15 @@ def _number_edges(triangles, n_vertices):
     return unique, inverse.reshape(triangles.shape)
 
 
-def _make_mesh(polygon, vertices, triangles):
-    """Assemble a Mesh from vertex/triangle arrays, deriving the boundary."""
+def _coarse_mesh(vertices, corners, triangles):
+    """Coarse Mesh whose vertices all lie on the boundary and run once round
+    it, counter-clockwise from the origin; ``corners`` indexes the polygon's
+    vertices among them."""
     vertices = np.asarray(vertices, dtype=float)
-    triangles = np.asarray(triangles, dtype=np.int64)
-    _, triangle_edges = _number_edges(triangles, len(vertices))
-    # an edge of exactly one triangle is a boundary edge, kept in that
-    # triangle's orientation
-    once = np.bincount(triangle_edges.ravel())[triangle_edges] == 1
-    bnd = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=2)[once]
-
-    # match each boundary edge to its polygon edge via midpoint collinearity
-    mids = 0.5 * (vertices[bnd[:, 0]] + vertices[bnd[:, 1]])
-    parent = np.empty(len(bnd), dtype=np.int64)
-    tangents = polygon.edge_vectors / polygon.edge_lengths[:, None]
-    for i, m in enumerate(mids):
-        rel = m - polygon.vertices
-        along = rel[:, 0] * tangents[:, 0] + rel[:, 1] * tangents[:, 1]
-        perp = np.abs(rel[:, 0] * tangents[:, 1] - rel[:, 1] * tangents[:, 0])
-        ok = np.where((perp < 1e-12) & (along > -1e-12)
-                      & (along < polygon.edge_lengths + 1e-12))[0]
-        if len(ok) == 0:
-            raise ValueError("boundary edge not on any polygon edge")
-        parent[i] = ok[0]
-
-    order = _close_chain(bnd)
-    return Mesh(polygon, vertices, triangles, bnd[order], parent[order])
+    k = np.arange(len(vertices))
+    return Mesh(Polygon(vertices[corners]), vertices, triangles,
+                np.column_stack([k, np.roll(k, -1)]),
+                np.searchsorted(corners, k, side="right") - 1)
 
 
 def build_domain(domain_id: str) -> Mesh:
@@ -236,28 +223,22 @@ def build_domain(domain_id: str) -> Mesh:
     ``convex`` is the triangle (0,0), (1,0), (cos 2pi/3, sin 2pi/3) with
     interior angle 2pi/3 at the origin; ``nonconvex`` is the L-shaped hexagon
     (0,0), (1,0), (1,1), (-1,1), (-1,-1), (0,-1) with interior angle 3pi/2 at
-    the origin.  The origin is a mesh vertex in both cases.
+    the origin.  The origin is mesh vertex 0 in both cases.
     """
     if domain_id == "convex":
-        poly = Polygon(np.array([[0.0, 0.0], [1.0, 0.0],
-                                 [np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)]]),
-                       corner_angle=2 * np.pi / 3)
-        verts = poly.vertices
-        tris = np.array([[0, 1, 2]])
-    elif domain_id == "nonconvex":
-        poly = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
-                                 [-1.0, 1.0], [-1.0, -1.0], [0.0, -1.0]]),
-                       corner_angle=3 * np.pi / 2)
+        return _coarse_mesh([[0.0, 0.0], [1.0, 0.0],
+                             [np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)]],
+                            [0, 1, 2], [[0, 1, 2]])
+    if domain_id == "nonconvex":
         # three unit squares, each split along the diagonal through the origin
-        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
-                          [-1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0], [0.0, -1.0]])
-        tris = np.array([[0, 1, 2], [0, 2, 3],
-                         [0, 3, 4], [0, 4, 5],
-                         [0, 5, 6], [0, 6, 7]])
-    else:
-        raise ValueError(f"unknown domain_id {domain_id!r}; "
-                         "expected 'convex' or 'nonconvex'")
-    return _make_mesh(poly, verts, tris)
+        return _coarse_mesh([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                             [-1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0],
+                             [0.0, -1.0]],
+                            [0, 1, 2, 4, 6, 7],
+                            [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5],
+                             [0, 5, 6], [0, 6, 7]])
+    raise ValueError(f"unknown domain_id {domain_id!r}; "
+                     "expected 'convex' or 'nonconvex'")
 
 
 def unit_square() -> Mesh:
@@ -266,10 +247,8 @@ def unit_square() -> Mesh:
     This is the setup of the boundary-flux counterexample; the corner angle
     pi/2 at the origin is regular, so it is not used for singular studies.
     """
-    poly = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-                   corner_angle=np.pi / 2)
-    tris = np.array([[0, 1, 2], [0, 2, 3]])
-    return _make_mesh(poly, poly.vertices, tris)
+    return _coarse_mesh([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                        [0, 1, 2, 3], [[0, 1, 2], [0, 2, 3]])
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -277,7 +256,8 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
     New vertices are the edge midpoints; ``h`` halves exactly and every
     boundary edge splits into two children that inherit the parent polygon
-    edge (and hence its normal).
+    edge (and hence its normal).  Old vertices keep their numbers, so vertex
+    0 stays the origin and the boundary chain still starts there.
     """
     nv = mesh.n_vertices
     edges = mesh.edges

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from stokesbc.assembly import boundary_flux, compute_delta_h
-from stokesbc.boundary_data import (BoundaryDatum, BoundaryTrace,
-                                    build_corrector, datum_flux,
+from stokesbc.boundary_data import (CORNER_LEVELS, GAUSS_POINTS,
+                                    BoundaryDatum, BoundaryTrace,
+                                    _boundary_rule, build_corrector,
+                                    datum_flux,
                                     enforce_compatibility,
                                     interpolate_carstensen,
                                     interpolate_lagrange, project_l2,
                                     trace_l2_distance, trace_of_solution)
 from stokesbc.cli import counterexample_datum
 from stokesbc.errors import eoc
-from stokesbc.fe_spaces import MINI, TAYLOR_HOOD, build_dofmap
+from stokesbc.fe_spaces import (MINI, TAYLOR_HOOD, build_dofmap,
+                                gauss_legendre_unit)
 from stokesbc.manufactured import SingularSolution
 from stokesbc.mesh import build_domain, refine_uniform, unit_square
 
@@ -35,6 +38,57 @@ def solenoidal_datum(polygon):
         polygon,
         lambda x, y: x ** 3 + np.exp(x) * np.cos(y),
         lambda x, y: -3 * x ** 2 * y - np.exp(x) * np.sin(y))
+
+
+# --- boundary quadrature ----------------------------------------------------
+
+
+def geometric_boundary_rule(mesh, datum):
+    """The composite boundary rule with its corner edges found by geometry:
+    the boundary edges whose arclength offsets put them at the origin."""
+    lengths = mesh.boundary_edge_lengths()
+    offsets = mesh.boundary_edge_offsets()
+    parents = mesh.boundary_parent
+    every = np.arange(mesh.n_boundary_edges)
+    cut_edge, cut_at = [every, every], [np.zeros(len(every)), lengths]
+    for je, js in datum.jumps:
+        local = js - offsets
+        on = ((parents == je) & (local > 1e-14 * lengths)
+              & (local < lengths * (1 - 1e-14)))
+        cut_edge.append(every[on])
+        cut_at.append(local[on])
+    last = mesh.polygon.n_edges - 1
+    ends_at_origin = np.abs(offsets + lengths
+                            - mesh.polygon.edge_lengths[last]) < 1e-12
+    dyadic = 0.5 ** np.arange(1, CORNER_LEVELS + 1)
+    for on, layers in (((parents == 0) & (offsets < 1e-14), dyadic),
+                       ((parents == last) & ends_at_origin, 1.0 - dyadic)):
+        cut_edge.append(np.repeat(every[on], CORNER_LEVELS))
+        cut_at.append(np.outer(lengths[on], layers).ravel())
+    cut_edge, cut_at = np.concatenate(cut_edge), np.concatenate(cut_at)
+    order = np.lexsort((cut_at, cut_edge))
+    cut_edge, cut_at = cut_edge[order], cut_at[order]
+    seg = (cut_edge[1:] == cut_edge[:-1]) & (cut_at[1:] > cut_at[:-1])
+    start, width = cut_at[:-1][seg], np.diff(cut_at)[seg]
+    edge = np.repeat(cut_edge[:-1][seg], GAUSS_POINTS)
+    xg, wg = gauss_legendre_unit(GAUSS_POINTS)
+    s = (start[:, None] + width[:, None] * xg).ravel()
+    return edge, s / lengths[edge], (width[:, None] * wg).ravel()
+
+
+@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("name", ["convex", "nonconvex", "unit_square"])
+def test_boundary_rule_matches_the_geometric_corner_search(name, level):
+    mesh = unit_square() if name == "unit_square" else build_domain(name)
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    datum = (counterexample_datum() if name == "unit_square" else
+             trace_of_solution(mesh.polygon, SingularSolution(
+                 0.37, mesh.polygon.corner_angle)))
+    for got, want in zip(_boundary_rule(mesh, datum),
+                         geometric_boundary_rule(mesh, datum)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 # --- counterexample values ------------------------------------------------

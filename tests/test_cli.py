@@ -10,9 +10,9 @@ from stokesbc import boundary_data as bd
 from stokesbc import mesh as mesh_mod
 from stokesbc.assembly import compute_delta_h
 from stokesbc.boundary_data import trace_of_solution
-from stokesbc.cli import (DOMAIN_ANGLES, ConfigError, StudyConfig,
-                          approximate_datum, emit_table, main,
-                          run_convergence, run_counterexample)
+from stokesbc.cli import (ConfigError, StudyConfig, approximate_datum,
+                          emit_table, main, run_convergence,
+                          run_counterexample)
 from stokesbc.errors import ConvergenceRecord
 from stokesbc.fe_spaces import build_dofmap, pairing_from_name
 from stokesbc.manufactured import SingularSolution
@@ -39,6 +39,9 @@ def test_counterexample_values():
     (dict(alpha_reg=-1.0), "alpha-reg"),
     (dict(output="json"), "output"),
     (dict(projector="lagrange", alpha_sing=-0.1), "lagrange"),
+    (dict(alpha_sing=np.inf), "alpha must be finite"),
+    (dict(alpha_reg=np.nan), "alpha-reg must be finite"),
+    (dict(alpha_reg=np.inf), "alpha-reg must be finite"),
 ])
 def test_config_validation_messages(kwargs, fragment):
     config = StudyConfig(**kwargs)
@@ -132,6 +135,9 @@ def test_main_convergence_csv(tmp_path):
 def test_main_validation_error_exit_code(capsys):
     assert main(["convergence", "--levels", "1"]) == 1
     assert "levels" in capsys.readouterr().err
+    # a non-finite setting fails validation, not the solve
+    assert main(["convergence", "--levels", "2", "--alpha-reg", "nan"]) == 1
+    assert "alpha-reg must be finite" in capsys.readouterr().err
 
 
 def test_main_lagrange_rejected_for_rough_data(capsys):
@@ -231,7 +237,7 @@ def test_records_carry_solver_report():
     records = run_convergence(config)
     mesh = build_domain(config.domain)
     datum = trace_of_solution(mesh.polygon, SingularSolution(
-        config.alpha_sing, DOMAIN_ANGLES[config.domain]))
+        config.alpha_sing, mesh.polygon.corner_angle))
     for r in records:
         mesh = refine_uniform(mesh)
         dofmap = build_dofmap(mesh, pairing_from_name(config.pairing))

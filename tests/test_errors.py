@@ -189,7 +189,7 @@ def test_pressure_error_independent_of_chunk_size(monkeypatch, domain_id):
     # the chunks combine about the global mean; their size must not show
     mesh = refine_uniform(refine_uniform(build_domain(domain_id)))
     dofmap = build_dofmap(mesh, TAYLOR_HOOD)
-    sol = SingularSolution(alpha=0.5, omega=cli.DOMAIN_ANGLES[domain_id])
+    sol = SingularSolution(alpha=0.5, omega=mesh.polygon.corner_angle)
     y_h = zero_solution(dofmap)
     y_h.pressure = np.random.default_rng(5).standard_normal(dofmap.n_pressure)
     whole = l2_pressure_error(y_h, sol, ErrorQuadrature(mesh, dofmap))

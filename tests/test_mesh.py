@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from stokesbc.mesh import Polygon, build_domain, refine_uniform, unit_square
+from stokesbc.mesh import (Mesh, Polygon, build_domain, refine_uniform,
+                           unit_square)
 
 
 @pytest.fixture(params=["convex", "nonconvex"])
@@ -12,7 +15,7 @@ def domain(request):
 def test_nonconvex_shape():
     mesh = build_domain("nonconvex")
     assert mesh.polygon.n_edges == 6
-    assert mesh.polygon.corner_angle == pytest.approx(3 * np.pi / 2)
+    assert mesh.polygon.corner_angle == 3 * np.pi / 2
     assert np.allclose(mesh.vertices[0], [0.0, 0.0])
     # interior angle at the origin: first edge along +x, last edge along -y
     assert np.allclose(mesh.polygon.edge_vectors[0], [1.0, 0.0])
@@ -24,7 +27,7 @@ def test_convex_shape():
     assert mesh.polygon.n_edges == 3
     assert np.allclose(mesh.polygon.vertices[2],
                        [np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)])
-    assert mesh.polygon.corner_angle == pytest.approx(2 * np.pi / 3)
+    assert mesh.polygon.corner_angle == 2 * np.pi / 3
 
 
 def test_nonconvex_edge_normal():
@@ -43,9 +46,85 @@ def test_polygon_vertices_are_read_only(mesh):
 
 def test_polygon_keeps_its_own_vertices():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    polygon = Polygon(vertices, corner_angle=np.pi / 2)
+    polygon = Polygon(vertices)
     vertices[1, 0] = 2.0
     assert polygon.area == 0.5
+
+
+def test_polygon_first_edge_must_run_along_positive_x():
+    with pytest.raises(ValueError, match="x-axis"):
+        Polygon(np.array([[0.0, 0.0], [1.0, 1e-300], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="x-axis"):
+        Polygon(np.array([[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]))
+
+
+def test_polygon_vertex_0_must_be_exactly_the_origin():
+    with pytest.raises(ValueError, match="origin"):
+        Polygon(np.array([[1e-300, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+
+
+def test_unit_square_corner_angle():
+    assert unit_square().polygon.corner_angle == np.pi / 2
+
+
+def refined(mesh, level):
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    return mesh
+
+
+COARSE = {"convex": lambda: build_domain("convex"),
+          "nonconvex": lambda: build_domain("nonconvex"),
+          "unit_square": unit_square}
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("name", sorted(COARSE))
+def test_declared_boundary_is_the_true_boundary(name, level):
+    mesh = refined(COARSE[name](), level)
+    # the edges of exactly one triangle, each in that triangle's orientation
+    directed = [(int(t[k]), int(t[(k + 1) % 3]))
+                for t in mesh.triangles for k in range(3)]
+    count = Counter(frozenset(e) for e in directed)
+    assert sorted(e for e in directed if count[frozenset(e)] == 1) == \
+        sorted(map(tuple, mesh.boundary_edges.tolist()))
+    # both ends of each boundary edge lie on its parent polygon edge
+    poly = mesh.polygon
+    start = poly.vertices[mesh.boundary_parent]
+    tangent = (poly.edge_vectors / poly.edge_lengths[:, None])[
+        mesh.boundary_parent]
+    for end in mesh.boundary_edges.T:
+        rel = mesh.vertices[end] - start
+        along = np.einsum("ec,ec->e", rel, tangent)
+        across = rel[:, 0] * tangent[:, 1] - rel[:, 1] * tangent[:, 0]
+        assert np.all(np.abs(across) <= 1e-12)
+        assert np.all(along >= -1e-12)
+        assert np.all(along <= poly.edge_lengths[mesh.boundary_parent]
+                      + 1e-12)
+
+
+def test_mesh_rejects_a_rolled_boundary(domain):
+    mesh = refine_uniform(domain)
+    with pytest.raises(ValueError, match="boundary edge 0"):
+        Mesh(mesh.polygon, mesh.vertices, mesh.triangles,
+             np.roll(mesh.boundary_edges, 1, axis=0),
+             np.roll(mesh.boundary_parent, 1))
+
+
+def test_mesh_rejects_vertex_0_off_the_origin(domain):
+    mesh = refine_uniform(domain)
+    vertices = mesh.vertices.copy()
+    vertices[0] = [1e-15, 0.0]
+    with pytest.raises(ValueError, match="origin"):
+        Mesh(mesh.polygon, vertices, mesh.triangles, mesh.boundary_edges,
+             mesh.boundary_parent)
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_cells_at_vertex_0_are_the_cells_at_the_origin(domain, level):
+    mesh = refined(domain, level)
+    at_origin = (np.hypot(*mesh.vertices.T) < 1e-14)[mesh.triangles]
+    assert np.array_equal(mesh.triangles == 0, at_origin)
 
 
 def test_unknown_domain_rejected():

@@ -16,7 +16,7 @@ from stokesbc.boundary_data import (BoundaryDatum, BoundaryTrace,
                                     interpolate_carstensen,
                                     interpolate_lagrange, project_l2,
                                     trace_l2_distance, trace_of_solution)
-from stokesbc.cli import (DOMAIN_ANGLES, PROJECTORS, StudyConfig,
+from stokesbc.cli import (DOMAINS, PROJECTORS, StudyConfig,
                           approximate_datum)
 from stokesbc.errors import (ErrorQuadrature, h1_seminorm_velocity_error,
                              l2_pressure_error, l2_velocity_error)
@@ -304,7 +304,7 @@ def test_divergence_identity_and_defect_for_every_datum(domain, level,
                          compat=compat)
     dm = build_dofmap(mesh, pairing)
     exact = trace_of_solution(mesh.polygon, SingularSolution(
-        alpha, DOMAIN_ANGLES[domain]))
+        alpha, mesh.polygon.corner_angle))
     centroid = mesh.polygon.centroid
 
     def evaluate(edge, s):
@@ -397,7 +397,8 @@ def docstring_profiles(a, w, t):
 @PROPERTY
 @given(a=st.floats(-1.0, 3.0, exclude_min=True, exclude_max=True).filter(
            lambda a: a == 0.0 or abs(a) >= 1e-6),  # no underflowing steps
-       omega=st.sampled_from(sorted(DOMAIN_ANGLES.values())), seed=seeds)
+       omega=st.sampled_from(sorted(build_domain(d).polygon.corner_angle
+                                   for d in DOMAINS)), seed=seeds)
 def test_exact_fields_match_the_docstring_formulas(a, omega, seed):
     rng = np.random.default_rng(seed)
     # both rays, a rounding step off them (snapped onto them) and 1e-7 off
