@@ -154,15 +154,17 @@ def _boundary_rule(mesh: Mesh, datum: BoundaryDatum):
 def _datum_values(datum: BoundaryDatum, mesh: Mesh, edge, t):
     """Datum at parameter ``t`` of boundary edges ``edge``.
 
-    Calls ``datum.evaluate`` once per polygon edge.
+    Calls ``datum.evaluate`` once per run of points on one polygon edge:
+    ``edge`` is ordered along the boundary chain, which visits the polygon
+    edges in order, so that is once per polygon edge.
     """
     parent = mesh.boundary_parent[edge]
     s = (mesh.boundary_edge_offsets()[edge]
          + t * mesh.boundary_edge_lengths()[edge])
     vals = np.empty((len(t), 2))
-    for p in np.unique(parent):
-        on = parent == p
-        vals[on] = datum.evaluate(int(p), s[on])
+    cuts = [0, *(np.flatnonzero(np.diff(parent)) + 1), len(t)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        vals[lo:hi] = datum.evaluate(int(parent[lo]), s[lo:hi])
     return vals
 
 
@@ -263,7 +265,7 @@ def build_corrector(kind: str, mesh: Mesh,
     """
     if kind == "affine_field":
         centroid = mesh.polygon.centroid
-        points = dofmap.dof_points()[dofmap.boundary_dofs]
+        points = dofmap.boundary_dof_points()
         trace = BoundaryTrace(0.5 * (points - centroid))
     elif kind == "projected_normal":
         def evaluate(edge, s):

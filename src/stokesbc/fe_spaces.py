@@ -108,10 +108,17 @@ def quadrature(degree: int) -> QuadratureRule:
     return QuadratureRule(pts, wts, degree)
 
 
+@lru_cache(maxsize=8)
 def gauss_legendre_unit(n: int):
-    """n-point Gauss-Legendre nodes/weights on [0, 1]."""
+    """n-point Gauss-Legendre nodes/weights on [0, 1].
+
+    Cached per ``n``; the arrays are read-only, so callers can share them.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 # local basis layout per pairing: vertices first, then edge midpoints
@@ -235,7 +242,7 @@ class DofMap:
             + np.arange(k + 1)) % len(self.boundary_dofs)
         self.boundary_edge_dofs = self.boundary_dofs[
             self.boundary_edge_positions]
-        self.cell_pressure = tris.copy()
+        self.cell_pressure = tris  # the mesh keeps it read-only
         self.n_pressure = nv
 
         mask = np.zeros(self.n_scalar_velocity, dtype=bool)
@@ -265,6 +272,14 @@ class DofMap:
             dof = self.cell_velocity[:, 3]
             pts[dof] = mesh.vertices[mesh.triangles].mean(axis=1)
         return pts
+
+    def boundary_dof_points(self) -> np.ndarray:
+        """``dof_points()[boundary_dofs]``, built from the boundary edges only."""
+        v = self.mesh.vertices
+        a, b = self.mesh.boundary_edges.T
+        if self.pairing.kind == "taylor_hood":
+            return np.stack([v[a], 0.5 * (v[a] + v[b])], axis=1).reshape(-1, 2)
+        return v[a]
 
 
 def build_dofmap(mesh: Mesh, pairing: ElementPairing) -> DofMap:

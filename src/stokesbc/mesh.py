@@ -135,19 +135,27 @@ class Mesh:
         self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
         self.boundary_parent = np.ascontiguousarray(boundary_parent, dtype=np.int64)
         self.boundary_normals = polygon.edge_normals[self.boundary_parent]
-        self._validate()
         nv = self.n_vertices
         keys, self.triangle_edges = _number_edges(self.triangles, nv)
         self.edges = np.column_stack(np.divmod(keys, nv))
         self.boundary_edge_ids = np.searchsorted(
             keys, _edge_key(*self.boundary_edges.T, nv))
+        # after the edge numbering, whose sort sets the construction's peak
+        # memory, so that the stored areas do not add to it
+        self._areas = _triangle_areas(self.vertices, self.triangles)
+        self._validate()
+        p = self.vertices[self.boundary_edges]
+        self._lengths = np.hypot(*(p[:, 1] - p[:, 0]).T)
+        self._offsets = np.hypot(
+            *(p[:, 0] - polygon.vertices[self.boundary_parent]).T)
         for array in (self.vertices, self.triangles, self.boundary_edges,
                       self.boundary_parent, self.boundary_normals, self.edges,
-                      self.triangle_edges, self.boundary_edge_ids):
+                      self.triangle_edges, self.boundary_edge_ids,
+                      self._areas, self._lengths, self._offsets):
             array.setflags(write=False)
 
     def _validate(self):
-        if np.any(self.triangle_areas() <= 0):
+        if np.any(self._areas <= 0):
             raise ValueError("mesh contains a non-positively oriented triangle")
         start = self.boundary_edges[:, 0]
         end = self.boundary_edges[:, 1]
@@ -176,19 +184,27 @@ class Mesh:
         return float(np.max(d))
 
     def triangle_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        u = p[:, 1] - p[:, 0]
-        v = p[:, 2] - p[:, 0]
-        return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+        """Signed area of each triangle (read-only, computed once)."""
+        return self._areas
 
     def boundary_edge_lengths(self) -> np.ndarray:
-        p = self.vertices[self.boundary_edges]
-        return np.hypot(*(p[:, 1] - p[:, 0]).T)
+        """Length of each boundary edge (read-only, computed once)."""
+        return self._lengths
 
     def boundary_edge_offsets(self) -> np.ndarray:
-        """Arclength of each boundary edge's start within its parent polygon edge."""
-        starts = self.vertices[self.boundary_edges[:, 0]]
-        return np.hypot(*(starts - self.polygon.vertices[self.boundary_parent]).T)
+        """Arclength of each boundary edge's start within its parent polygon
+        edge (read-only, computed once)."""
+        return self._offsets
+
+
+def _triangle_areas(vertices, triangles):
+    """Signed triangle areas, gathered one coordinate at a time: a
+    (nt, 3, 2) gather of the corners costs twice the time."""
+    x, y = vertices.T
+    a, b, c = triangles.T
+    ux, uy = x[b] - x[a], y[b] - y[a]
+    vx, vy = x[c] - x[a], y[c] - y[a]
+    return 0.5 * (ux * vy - uy * vx)
 
 
 def _edge_key(a, b, n_vertices):

@@ -4,7 +4,8 @@ import pytest
 from stokesbc.assembly import boundary_flux, compute_delta_h
 from stokesbc.boundary_data import (CORNER_LEVELS, GAUSS_POINTS,
                                     BoundaryDatum, BoundaryTrace,
-                                    _boundary_rule, build_corrector,
+                                    _boundary_rule, _datum_values,
+                                    build_corrector,
                                     datum_flux,
                                     enforce_compatibility,
                                     interpolate_carstensen,
@@ -12,8 +13,8 @@ from stokesbc.boundary_data import (CORNER_LEVELS, GAUSS_POINTS,
                                     trace_l2_distance, trace_of_solution)
 from stokesbc.cli import counterexample_datum
 from stokesbc.errors import eoc
-from stokesbc.fe_spaces import (MINI, TAYLOR_HOOD, build_dofmap,
-                                gauss_legendre_unit)
+from stokesbc.fe_spaces import (MINI, TAYLOR_HOOD, DofMap, build_dofmap,
+                                edge_trace_nodes, gauss_legendre_unit)
 from stokesbc.manufactured import SingularSolution
 from stokesbc.mesh import build_domain, refine_uniform, unit_square
 
@@ -89,6 +90,58 @@ def test_boundary_rule_matches_the_geometric_corner_search(name, level):
                          geometric_boundary_rule(mesh, datum)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def masked_datum_values(datum, mesh, edge, t):
+    """The datum at rule points with one boolean mask per polygon edge."""
+    parent = mesh.boundary_parent[edge]
+    s = (mesh.boundary_edge_offsets()[edge]
+         + t * mesh.boundary_edge_lengths()[edge])
+    vals = np.empty((len(t), 2))
+    for p in np.unique(parent):
+        on = parent == p
+        vals[on] = datum.evaluate(int(p), s[on])
+    return vals
+
+
+def point_sets(mesh, datum):
+    """The rule points and the Lagrange nodes of both pairings, as
+    (edge, t) pairs."""
+    yield _boundary_rule(mesh, datum)[:2]
+    for pairing in (TAYLOR_HOOD, MINI):
+        starts = edge_trace_nodes(pairing)[:-1]
+        yield (np.repeat(np.arange(mesh.n_boundary_edges), len(starts)),
+               np.tile(starts, mesh.n_boundary_edges))
+
+
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("name", ["convex", "nonconvex", "unit_square"])
+def test_datum_values_match_the_masked_evaluation(name, level):
+    mesh = unit_square() if name == "unit_square" else build_domain(name)
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    # on the unit square the counterexample's jump cuts a segment of edge 2
+    datum = (counterexample_datum() if name == "unit_square" else
+             trace_of_solution(mesh.polygon, SingularSolution(
+                 0.37, mesh.polygon.corner_angle)))
+    for edge, t in point_sets(mesh, datum):
+        got = _datum_values(datum, mesh, edge, t)
+        want = masked_datum_values(datum, mesh, edge, t)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["convex", "nonconvex", "unit_square"])
+def test_a_rule_pass_evaluates_each_polygon_edge_once(name):
+    mesh = refine_uniform(refine_uniform(
+        unit_square() if name == "unit_square" else build_domain(name)))
+    calls = []
+
+    def evaluate(edge, s):
+        calls.append(edge)
+        return np.zeros((len(s), 2))
+
+    datum_flux(BoundaryDatum(evaluate, jumps=((1, 0.3),)), mesh)
+    assert calls == list(range(mesh.polygon.n_edges))
 
 
 # --- counterexample values ------------------------------------------------
@@ -276,6 +329,20 @@ def test_corrector_affine_flux_is_area(square_p1):
     mesh, dm = square_p1
     corr = build_corrector("affine_field", mesh, dm)
     assert corr.flux == pytest.approx(mesh.polygon.area, rel=1e-13)
+
+
+@pytest.mark.parametrize("pairing", [TAYLOR_HOOD, MINI])
+def test_affine_corrector_builds_no_volume_dof_points(pairing, monkeypatch):
+    mesh = refine_uniform(build_domain("nonconvex"))
+    dm = build_dofmap(mesh, pairing)
+    want = 0.5 * (dm.dof_points()[dm.boundary_dofs] - mesh.polygon.centroid)
+
+    def every_dof_point(self):
+        raise AssertionError("dof_points called")
+
+    monkeypatch.setattr(DofMap, "dof_points", every_dof_point)
+    corrector = build_corrector("affine_field", mesh, dm)
+    assert np.array_equal(corrector.w_h.coefficients, want)
 
 
 def test_corrector_affine_flux_shift_invariant(square_p1):

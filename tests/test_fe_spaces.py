@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from stokesbc.fe_spaces import (MINI, TAYLOR_HOOD, _tabulate, build_dofmap,
-                                edge_trace_values, quadrature)
-from stokesbc.mesh import unit_square
+                                edge_trace_values, gauss_legendre_unit,
+                                quadrature)
+from stokesbc.mesh import build_domain, refine_uniform, unit_square
 
 
 def ref_monomial_integral(a, b):
@@ -123,6 +124,29 @@ def test_boundary_order_follows_traversal():
     assert np.allclose(steps, 0.5)
 
 
+@pytest.mark.parametrize("pairing", [TAYLOR_HOOD, MINI])
+@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("name", ["convex", "nonconvex", "unit_square"])
+def test_boundary_dof_points_are_the_boundary_rows_of_dof_points(
+        name, level, pairing):
+    mesh = unit_square() if name == "unit_square" else build_domain(name)
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    dm = build_dofmap(mesh, pairing)
+    got = dm.boundary_dof_points()
+    want = dm.dof_points()[dm.boundary_dofs]
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("pairing", [TAYLOR_HOOD, MINI])
+def test_pressure_dofs_share_the_read_only_mesh_triangles(pairing):
+    mesh = refine_uniform(build_domain("nonconvex"))
+    dm = build_dofmap(mesh, pairing)
+    assert dm.cell_pressure is mesh.triangles
+    assert not dm.cell_pressure.flags.writeable
+
+
 def test_bubble_not_on_boundary():
     mesh = unit_square()
     dm = build_dofmap(mesh, MINI)
@@ -153,3 +177,14 @@ def test_quadrature_cached_and_read_only():
     assert quadrature(7) is rule
     assert not rule.points.flags.writeable
     assert not rule.weights.flags.writeable
+
+
+def test_gauss_legendre_unit_cached_and_read_only():
+    x, w = gauss_legendre_unit(16)
+    again = gauss_legendre_unit(16)
+    assert again[0] is x and again[1] is w
+    assert not x.flags.writeable
+    assert not w.flags.writeable
+    ref_x, ref_w = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(x, 0.5 * (ref_x + 1.0))
+    assert np.array_equal(w, 0.5 * ref_w)

@@ -127,6 +127,39 @@ def test_cells_at_vertex_0_are_the_cells_at_the_origin(domain, level):
     assert np.array_equal(mesh.triangles == 0, at_origin)
 
 
+@pytest.mark.parametrize("name", sorted(COARSE))
+def test_mesh_rejects_a_clockwise_triangle(name):
+    mesh = COARSE[name]()
+    triangles = mesh.triangles.copy()
+    triangles[-1, [1, 2]] = triangles[-1, [2, 1]]
+    with pytest.raises(ValueError, match="oriented"):
+        Mesh(mesh.polygon, mesh.vertices, triangles, mesh.boundary_edges,
+             mesh.boundary_parent)
+
+
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("name", sorted(COARSE))
+def test_geometry_is_computed_once_and_read_only(name, level):
+    mesh = refined(COARSE[name](), level)
+    # the formulas the methods evaluated on every call, as the reference
+    p = mesh.vertices[mesh.triangles]
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    areas = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    b = mesh.vertices[mesh.boundary_edges]
+    lengths = np.hypot(*(b[:, 1] - b[:, 0]).T)
+    starts = mesh.vertices[mesh.boundary_edges[:, 0]]
+    offsets = np.hypot(
+        *(starts - mesh.polygon.vertices[mesh.boundary_parent]).T)
+    for method, want in ((mesh.triangle_areas, areas),
+                         (mesh.boundary_edge_lengths, lengths),
+                         (mesh.boundary_edge_offsets, offsets)):
+        got = method()
+        assert method() is got
+        assert not got.flags.writeable
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_unknown_domain_rejected():
     with pytest.raises(ValueError):
         build_domain("pentagon")
