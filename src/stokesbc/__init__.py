@@ -26,6 +26,6 @@ from .manufactured import (SingularSolution, eval_pressure, eval_velocity,
                            eval_velocity_gradient, solve_xi)
 from .mesh import (Mesh, Polygon, build_domain, refine_uniform,
                    unit_square)
-from .solver import LinearSolveReport, solve, solve_linear
+from .solver import LinearSolveReport, solve
 
 __version__ = "0.1.0"

@@ -25,8 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .fe_spaces import (EDGE_TRACE_GRAM, DofMap, N_LOCAL_VELOCITY, _tabulate,
-                        quadrature)
+from .fe_spaces import EDGE_TRACE_GRAM, DofMap, _tabulate, quadrature
 from .mesh import Mesh
 
 __all__ = [
@@ -49,11 +48,9 @@ def _local_blocks(mesh: Mesh, dofmap: DofMap):
     _, grads_v = _tabulate(dofmap.pairing, rule.points)
     tri_xy = mesh.vertices[mesh.triangles]
     # the P1 pressure basis values are the barycentric points
-    kloc, dloc, detj = _kernels.local_matrices(
+    kloc, dloc, _ = _kernels.local_matrices(
         np.ascontiguousarray(tri_xy), np.ascontiguousarray(grads_v),
         rule.points, rule.weights)
-    if np.any(detj <= 0):
-        raise ValueError("degenerate element (non-positive Jacobian)")
     return kloc, dloc
 
 
@@ -66,38 +63,46 @@ def assemble_divergence(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     return _divergence_matrix(_local_blocks(mesh, dofmap)[1], dofmap)
 
 
+def _scatter(local, rows, cols, shape, keep=slice(None)) -> sp.csr_matrix:
+    """Sum per-cell blocks ``local`` (m, nr, nc) into a sparse matrix.
+
+    Block ``e`` lands on rows ``rows[e]`` (nr,) and columns ``cols[e]``
+    (nc,); ``keep`` selects entries of the flattened ``nr * nc`` block.
+    """
+    nr, nc = local.shape[1:]
+    # the index arrays are temporaries: the COO keeps its own copies
+    mat = sp.coo_matrix((local.reshape(len(local), -1)[:, keep].ravel(),
+                         (np.repeat(rows, nc, axis=1)[:, keep].ravel(),
+                          np.tile(cols, (1, nr))[:, keep].ravel())),
+                        shape=shape).tocsr()
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return mat
+
+
 def _stiffness_matrix(kloc, dofmap: DofMap) -> sp.csr_matrix:
     """Scalar stiffness matrix over all scalar velocity dofs."""
-    nl = N_LOCAL_VELOCITY[dofmap.pairing.kind]
-    keep = np.ones((nl, nl), dtype=bool)
+    keep = slice(None)
     if dofmap.pairing.kind == "mini":
         # the MINI bubble b and a vertex function lambda_i do not couple:
         # int grad b . grad lambda_i = grad lambda_i . int_dT b n = 0
+        keep = np.ones(kloc.shape[1:], dtype=bool)
         keep[3, :3] = keep[:3, 3] = False
-    keep = keep.ravel()
+        keep = keep.ravel()
     dofs = dofmap.cell_velocity
-    rows = np.repeat(dofs, nl, axis=1)[:, keep].ravel()
-    cols = np.tile(dofs, (1, nl))[:, keep].ravel()
-    vals = kloc.reshape(len(kloc), -1)[:, keep].ravel()
     ns = dofmap.n_scalar_velocity
-    scalar = sp.coo_matrix((vals, (rows, cols)), shape=(ns, ns)).tocsr()
-    scalar.sum_duplicates()
-    return scalar
+    return _scatter(kloc, dofs, dofs, (ns, ns), keep)
 
 
 def _divergence_matrix(dloc, dofmap: DofMap) -> sp.csr_matrix:
-    nl = N_LOCAL_VELOCITY[dofmap.pairing.kind]
+    # one block per cell and component, the second component's blocks after
+    # the first's: that order fixes the order in which duplicates are summed
     ns = dofmap.n_scalar_velocity
-    rows = np.repeat(dofmap.cell_pressure, nl, axis=1).ravel()
-    cols = np.tile(dofmap.cell_velocity, (1, 3)).ravel()
-    # one COO, the second component's columns after the first's
-    full = sp.coo_matrix(
-        (np.swapaxes(dloc, 0, 1).ravel(),
-         (np.tile(rows, 2), np.concatenate([cols, cols + ns]))),
-        shape=(dofmap.n_pressure, 2 * ns)).tocsr()
-    full.sum_duplicates()
-    full.sort_indices()
-    return full
+    cells = dofmap.cell_velocity
+    return _scatter(np.swapaxes(dloc, 0, 1).reshape(-1, *dloc.shape[2:]),
+                    np.tile(dofmap.cell_pressure, (2, 1)),
+                    np.concatenate([cells, cells + ns]),
+                    (dofmap.n_pressure, 2 * ns))
 
 
 def assemble_boundary_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
@@ -106,18 +111,11 @@ def assemble_boundary_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     Rows/columns follow the ``dofmap.boundary_dofs`` ordering.  Entries are
     the edge lengths times the unit-edge Gram matrix ``EDGE_TRACE_GRAM``.
     """
-    lengths = mesh.boundary_edge_lengths()
     local = EDGE_TRACE_GRAM[dofmap.pairing.kind]
-    n1d = local.shape[0]
     pos = dofmap.boundary_edge_positions
-    rows = np.repeat(pos, n1d, axis=1).ravel()
-    cols = np.tile(pos, (1, n1d)).ravel()
-    vals = (lengths[:, None, None] * local).ravel()
     nbd = dofmap.n_boundary_dofs
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(nbd, nbd)).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
+    return _scatter(mesh.boundary_edge_lengths()[:, None, None] * local,
+                    pos, pos, (nbd, nbd))
 
 
 def boundary_flux(trace: np.ndarray, mesh: Mesh, dofmap: DofMap) -> float:
@@ -177,12 +175,9 @@ class BorderedSystem:
         """
         cells = self.dofmap.cell_pressure
         local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        vals = self.mesh.triangle_areas()[:, None, None] * local
         n = self.dofmap.n_pressure
-        return sp.csc_matrix((vals.ravel(),
-                              (np.repeat(cells, 3, axis=1).ravel(),
-                               np.tile(cells, (1, 3)).ravel())),
-                             shape=(n, n))
+        return _scatter(self.mesh.triangle_areas()[:, None, None] * local,
+                        cells, cells, (n, n)).tocsc()
 
     def matrix(self) -> sp.csr_matrix:
         top = sp.coo_matrix(([self.alpha_reg], ([0], [0])), shape=(1, 1))
@@ -269,17 +264,6 @@ def assemble_bordered_system(mesh: Mesh, dofmap: DofMap, u_h,
 
 def _pressure_integrals(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     """Vector s with s_i = int q_i; for nodal P1, area/3 per incident cell."""
-    areas = mesh.triangle_areas()
-    s = np.zeros(dofmap.n_pressure)
-    np.add.at(s, dofmap.cell_pressure.ravel(),
-              np.repeat(areas / 3.0, 3))
-    return s
-
-
-def galerkin_residual(system: BorderedSystem, sol: DiscreteSolution) -> float:
-    """Max-norm residual of the assembled equations at a solution."""
-    x = np.concatenate([[sol.delta_h],
-                        sol.velocity[system.dofmap.interior_dofs].T.ravel(),
-                        sol.pressure])
-    r = system.apply(x) - system.rhs()
-    return float(np.abs(r).max())
+    return np.bincount(dofmap.cell_pressure.ravel(),
+                       np.repeat(mesh.triangle_areas() / 3.0, 3),
+                       minlength=dofmap.n_pressure)

@@ -124,9 +124,6 @@ def gauss_legendre_unit(n: int):
 # local basis layout per pairing: vertices first, then edge midpoints
 # (Taylor-Hood, edge k joins local vertices k and k+1) or the cell bubble
 # (MINI).  Pressure is always the P1 vertex basis.
-N_LOCAL_VELOCITY = {"taylor_hood": 6, "mini": 4}
-
-
 def _tabulate(pairing: ElementPairing, bary: np.ndarray):
     """Velocity basis values and reference gradients at barycentric points.
 

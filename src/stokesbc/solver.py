@@ -14,10 +14,8 @@ MINRES needs with the same two factorisations.
 CG stops on its Euclidean residual, which is the whole system's: the
 velocity rows hold up to roundoff in the factorisation, the pressure rows'
 residual is the CG residual, and the border row is made exact by the final
-shift of ``p`` along the constants, which ``B^T`` maps to zero.
-``solve_linear`` is a sparse LU of a whole indefinite matrix, kept as the
-small-system reference.  Both check the residual of their result against
-``tol``.
+shift of ``p`` along the constants, which ``B^T`` maps to zero.  The
+residual of the result is then recomputed and checked against ``tol``.
 """
 
 from __future__ import annotations
@@ -25,12 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import BorderedSystem, DiscreteSolution
 
-__all__ = ["LinearSolveReport", "SolveError", "solve", "solve_linear"]
+__all__ = ["LinearSolveReport", "SolveError", "solve"]
 
 DEFAULT_TOL = 1e-10
 CG_MAXITER = 1000
@@ -47,11 +44,9 @@ class LinearSolveReport:
     """Solve outcome; the residual is recomputed from the assembled system."""
 
     residual_norm: float
-    method: str
     iterations: int
-    # entries SuperLU stores for L and U (``SuperLU.nnz``; reading ``L`` and
-    # ``U`` would copy both factors): of the whole matrix for
-    # direct_factorization, of K and M_p for schur_cg
+    # entries SuperLU stores for the L and U of K and M_p (``SuperLU.nnz``;
+    # reading ``L`` and ``U`` would copy both factors)
     factor_nnz: int
 
 
@@ -59,27 +54,10 @@ class SolveError(RuntimeError):
     """Structural singularity or non-convergence of the linear solve."""
 
 
-def solve_linear(matrix, rhs: np.ndarray, tol: float = DEFAULT_TOL):
-    """Solve a sparse indefinite system by LU to relative residual ``tol``.
-
-    Partial pivoting and a fill-reducing column ordering; the report's
-    method is ``direct_factorization``.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    matrix = sp.csc_matrix(matrix)
-    rhs = np.asarray(rhs, dtype=float)
-    lu = _factorize(matrix, "direct")
-    x = lu.solve(rhs)
-    return x, _report(x, matrix @ x, rhs, tol, "direct_factorization", 0,
-                      lu.nnz)
-
-
 def solve(system: BorderedSystem, tol: float = DEFAULT_TOL):
     """Solve a bordered system by Schur-complement CG on the pressure.
 
-    Returns (DiscreteSolution, LinearSolveReport); the report's method is
-    ``schur_cg``.
+    Returns (DiscreteSolution, LinearSolveReport).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -120,12 +98,12 @@ def solve(system: BorderedSystem, tol: float = DEFAULT_TOL):
     # B^T 1 = 0: a constant shift of p meets the border row, moving no other
     p += (system.alpha_reg * (system.delta_target - delta) - s @ p) / s.sum()
     x = np.concatenate([[delta], y, p])
-    report = _report(x, system.apply(x), rhs, tol, "schur_cg", iterations,
+    report = _report(x, system.apply(x), rhs, tol, iterations,
                      lu.nnz + mass.nnz)
     return system.unpack(x), report
 
 
-def _report(x, product, rhs, tol, method, iterations, factor_nnz):
+def _report(x, product, rhs, tol, iterations, factor_nnz):
     """Reject a non-finite or inaccurate ``x`` (``product`` is its image)."""
     if not np.all(np.isfinite(x)):
         raise SolveError("solver produced non-finite values "
@@ -137,8 +115,8 @@ def _report(x, product, rhs, tol, method, iterations, factor_nnz):
             f"relative residual {residual / scale:.3e} exceeds tol {tol:.1e}")
     if scale == 0 and residual > tol:
         raise SolveError(f"residual {residual:.3e} exceeds tol {tol:.1e}")
-    return LinearSolveReport(residual_norm=residual, method=method,
-                             iterations=iterations, factor_nnz=factor_nnz)
+    return LinearSolveReport(residual_norm=residual, iterations=iterations,
+                             factor_nnz=factor_nnz)
 
 
 def _factorize(matrix, what: str, **options):

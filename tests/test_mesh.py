@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from stokesbc._kernels import affine_jacobians
 from stokesbc.mesh import (Mesh, Polygon, build_domain, refine_uniform,
                            unit_square)
 
@@ -127,11 +128,15 @@ def test_cells_at_vertex_0_are_the_cells_at_the_origin(domain, level):
     assert np.array_equal(mesh.triangles == 0, at_origin)
 
 
+@pytest.mark.parametrize("fault", ["clockwise", "zero-area"])
 @pytest.mark.parametrize("name", sorted(COARSE))
-def test_mesh_rejects_a_clockwise_triangle(name):
+def test_mesh_rejects_a_clockwise_triangle(name, fault):
     mesh = COARSE[name]()
     triangles = mesh.triangles.copy()
-    triangles[-1, [1, 2]] = triangles[-1, [2, 1]]
+    if fault == "clockwise":
+        triangles[-1, [1, 2]] = triangles[-1, [2, 1]]
+    else:
+        triangles[-1, 2] = triangles[-1, 0]
     with pytest.raises(ValueError, match="oriented"):
         Mesh(mesh.polygon, mesh.vertices, triangles, mesh.boundary_edges,
              mesh.boundary_parent)
@@ -158,6 +163,15 @@ def test_geometry_is_computed_once_and_read_only(name, level):
         assert not got.flags.writeable
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("level", range(7))
+@pytest.mark.parametrize("name", sorted(COARSE))
+def test_jacobian_determinants_are_twice_the_areas(name, level):
+    # so the area check in Mesh is the only orientation check assembly needs
+    mesh = refined(COARSE[name](), level)
+    detj, _ = affine_jacobians(mesh.vertices[mesh.triangles])
+    assert np.array_equal(detj, 2 * mesh.triangle_areas())
 
 
 def test_unknown_domain_rejected():

@@ -9,48 +9,7 @@ from stokesbc.assembly import (BorderedSystem, _local_blocks,
 from stokesbc.cli import StudyConfig, main, run_convergence
 from stokesbc.fe_spaces import MINI, TAYLOR_HOOD, build_dofmap
 from stokesbc.mesh import build_domain, refine_uniform, unit_square
-from stokesbc.solver import SolveError, solve, solve_linear
-
-
-def test_two_by_two():
-    m = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    x, report = solve_linear(m, np.array([3.0, 3.0]))
-    assert np.allclose(x, [1.0, 1.0], atol=1e-14)
-    assert report.method == "direct_factorization"
-    assert report.iterations == 0
-
-
-def test_homogeneous_rhs():
-    m = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    x, report = solve_linear(m, np.zeros(2))
-    assert np.all(x == 0)
-    assert report.residual_norm == 0.0
-
-
-def test_residual_contract():
-    rng = np.random.default_rng(31)
-    n = 60
-    a = sp.random(n, n, density=0.1, random_state=rng.integers(1 << 31))
-    m = (a + a.T + 10 * sp.eye(n)).tocsr()
-    rhs = rng.standard_normal(n)
-    tol = 1e-10
-    x, report = solve_linear(m, rhs, tol=tol)
-    assert report.residual_norm <= tol * np.linalg.norm(rhs)
-    assert report.residual_norm == pytest.approx(
-        np.linalg.norm(rhs - m @ x), rel=1e-12)
-
-
-def test_invalid_tol():
-    with pytest.raises(ValueError):
-        solve_linear(sp.eye(2).tocsr(), np.ones(2), tol=0.0)
-    with pytest.raises(ValueError):
-        solve(stokes_system(), tol=0.0)
-
-
-def test_singular_system_reported():
-    m = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(SolveError):
-        solve_linear(m, np.array([1.0, 0.0]))
+from stokesbc.solver import SolveError, solve
 
 
 def stokes_system(pairing=TAYLOR_HOOD, refinements=1, alpha_reg=1.0, seed=37):
@@ -63,19 +22,39 @@ def stokes_system(pairing=TAYLOR_HOOD, refinements=1, alpha_reg=1.0, seed=37):
     return assemble_bordered_system(mesh, dm, trace, alpha_reg=alpha_reg)
 
 
-def test_permutation_invariance():
+def test_homogeneous_rhs():
+    mesh = refine_uniform(unit_square())
+    dm = build_dofmap(mesh, TAYLOR_HOOD)
+    sol, report = solve(assemble_bordered_system(
+        mesh, dm, np.zeros((dm.n_boundary_dofs, 2))))
+    assert np.all(sol.velocity == 0) and np.all(sol.pressure == 0)
+    assert sol.delta_h == 0
+    assert report.residual_norm == 0.0
+
+
+def test_residual_contract():
     system = stokes_system()
-    m = system.matrix().tocsr()
+    tol = 1e-10
+    sol, report = solve(system, tol=tol)
+    x = np.concatenate([[sol.delta_h],
+                        sol.velocity[system.dofmap.interior_dofs].T.ravel(),
+                        sol.pressure])
     rhs = system.rhs()
-    x_ref, _ = solve_linear(m, rhs)
-    rng = np.random.default_rng(41)
-    perm = rng.permutation(m.shape[0])
-    p = sp.coo_matrix((np.ones(len(perm)), (np.arange(len(perm)), perm)),
-                      shape=m.shape).tocsr()
-    x_perm, _ = solve_linear(p @ m @ p.T, p @ rhs)
-    back = p.T @ x_perm
-    scale = np.abs(x_ref).max()
-    assert np.abs(back - x_ref).max() < 1e-9 * scale
+    assert report.residual_norm <= tol * np.linalg.norm(rhs)
+    assert report.residual_norm == pytest.approx(
+        np.linalg.norm(rhs - system.matrix() @ x), rel=1e-12)
+
+
+def test_invalid_tol():
+    with pytest.raises(ValueError):
+        solve(stokes_system(), tol=0.0)
+
+
+def test_non_finite_solution_reported():
+    system = stokes_system()
+    system.rhs_g[0] = np.nan
+    with pytest.raises(SolveError, match="non-finite"):
+        solve(system)
 
 
 @pytest.mark.parametrize("pairing", [TAYLOR_HOOD, MINI])
@@ -102,10 +81,9 @@ def test_schur_cg_agrees_with_direct(pairing, domain_id, alpha_reg):
     rng = np.random.default_rng(47)
     trace = rng.standard_normal((dm.n_boundary_dofs, 2))
     system = assemble_bordered_system(mesh, dm, trace, alpha_reg=alpha_reg)
-    x, _ = solve_linear(system.matrix(), system.rhs())
-    sol_direct = system.unpack(x)
+    sol_direct = system.unpack(
+        spla.spsolve(system.matrix().tocsc(), system.rhs()))
     sol_cg, report = solve(system)
-    assert report.method == "schur_cg"
     assert report.iterations > 0
     assert report.residual_norm <= 1e-10 * np.linalg.norm(system.rhs())
     scale = max(np.abs(sol_direct.velocity).max(),
@@ -125,15 +103,8 @@ def test_schur_cg_iterations_mesh_independent():
     assert iterations[3] <= 1.1 * iterations[2]
 
 
-SOLVES = {"schur_cg": solve,
-          "direct_factorization": lambda system: solve_linear(
-              system.matrix(), system.rhs())}
-
-
 @pytest.mark.parametrize("error", [SystemError, MemoryError])
-@pytest.mark.parametrize("method", sorted(SOLVES))
-def test_factorization_out_of_memory_is_solve_error(monkeypatch, method,
-                                                    error):
+def test_factorization_out_of_memory_is_solve_error(monkeypatch, error):
     # SuperLU reports exhausted memory as SystemError from gstrf
     system = stokes_system()
 
@@ -142,7 +113,7 @@ def test_factorization_out_of_memory_is_solve_error(monkeypatch, method,
 
     monkeypatch.setattr(spla, "splu", out_of_memory)
     with pytest.raises(SolveError):
-        SOLVES[method](system)
+        solve(system)
 
 
 def test_factorization_out_of_memory_exit_code(monkeypatch, capsys):
@@ -178,8 +149,6 @@ def test_velocity_block_is_diag_of_the_interior_stiffness():
 
 def test_report_counts_factor_fill():
     system = stokes_system()
-    _, direct = solve_linear(system.matrix(), system.rhs())
-    assert direct.factor_nnz == spla.splu(sp.csc_matrix(system.matrix())).nnz
     # SuperLU drops no entry, so the factors hold at least the matrix's
     _, schur = solve(system)
     blocks = (system.K, system.pressure_mass)
@@ -194,7 +163,7 @@ def test_solve_builds_no_bordered_matrix(monkeypatch):
 
     monkeypatch.setattr(BorderedSystem, "matrix", no_matrix)
     _, report = solve(system)
-    assert report.method == "schur_cg"
+    assert report.iterations > 0
 
 
 def test_iteration_cap_is_solve_error(monkeypatch, capsys):
