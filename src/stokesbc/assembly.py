@@ -33,6 +33,7 @@ __all__ = [
     "DiscreteSolution",
     "assemble_divergence",
     "assemble_boundary_mass",
+    "edge_integrals",
     "boundary_flux",
     "compute_delta_h",
     "assemble_bordered_system",
@@ -118,18 +119,25 @@ def assemble_boundary_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
                     pos, pos, (nbd, nbd))
 
 
+def edge_integrals(f: np.ndarray, mesh: Mesh, dofmap: DofMap) -> np.ndarray:
+    """Exact moments <f, phi_i> (nbd, c) of ``f`` (nbe, c), constant per edge."""
+    weights = np.outer(mesh.boundary_edge_lengths(),
+                       EDGE_TRACE_GRAM[dofmap.pairing.kind].sum(axis=1))
+    pos = dofmap.boundary_edge_positions.ravel()
+    return np.column_stack([np.bincount(pos, (weights * fc[:, None]).ravel(),
+                                        minlength=dofmap.n_boundary_dofs)
+                            for fc in f.T])
+
+
 def boundary_flux(trace: np.ndarray, mesh: Mesh, dofmap: DofMap) -> float:
     """Exact boundary integral <v_h, n> of a trace coefficient array.
 
     ``trace`` has shape (n_boundary_dofs, 2) in ``boundary_dofs`` order; the
-    normal is constant per edge, so each edge integral weights the trace
-    coefficients with the basis integrals <1, phi_i>.
+    normal is constant per edge, so the flux pairs the coefficients with the
+    moments <n, phi_i> of :func:`edge_integrals`.
     """
-    integrals = EDGE_TRACE_GRAM[dofmap.pairing.kind].sum(axis=1)
-    edge_int = np.einsum("i,eic->ec", integrals,
-                         trace[dofmap.boundary_edge_positions])
-    edge_int *= mesh.boundary_edge_lengths()[:, None]
-    return float(np.einsum("ec,ec->", edge_int, mesh.boundary_normals))
+    moments = edge_integrals(mesh.boundary_normals, mesh, dofmap)
+    return float((trace * moments).sum())
 
 
 def compute_delta_h(u_h, mesh: Mesh, dofmap: DofMap) -> float:

@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_boundary_mass, boundary_flux
-from .fe_spaces import (EDGE_TRACE_GRAM, DofMap, edge_trace_nodes,
-                        edge_trace_values, gauss_legendre_unit)
+from .assembly import assemble_boundary_mass, boundary_flux, edge_integrals
+from .fe_spaces import (DofMap, edge_trace_nodes, edge_trace_values,
+                        gauss_legendre_unit)
 from .manufactured import SingularSolution, eval_velocity, velocity_from_polar
 from .mesh import Mesh
 
@@ -182,10 +182,9 @@ def _edge_moments(mesh: Mesh, dofmap: DofMap, datum: BoundaryDatum):
                     minlength=dofmap.n_boundary_dofs) for c in range(2)])
 
 
-def project_l2(u: BoundaryDatum, mesh: Mesh, dofmap: DofMap) -> BoundaryTrace:
-    """Componentwise L2 boundary projection of the datum onto the trace space."""
+def _solve_boundary_mass(rhs, mesh: Mesh, dofmap: DofMap) -> BoundaryTrace:
+    """Trace whose moments <u_h, phi_i> are ``rhs`` (nbd, 2)."""
     mass = assemble_boundary_mass(mesh, dofmap).tocsc()
-    rhs = _edge_moments(mesh, dofmap, u)
     try:
         lu = spla.splu(mass)
     except RuntimeError as exc:  # pragma: no cover - only on broken dofmaps
@@ -198,21 +197,22 @@ def project_l2(u: BoundaryDatum, mesh: Mesh, dofmap: DofMap) -> BoundaryTrace:
     return BoundaryTrace(coef)
 
 
+def project_l2(u: BoundaryDatum, mesh: Mesh, dofmap: DofMap) -> BoundaryTrace:
+    """Componentwise L2 boundary projection of the datum onto the trace space."""
+    return _solve_boundary_mass(_edge_moments(mesh, dofmap, u), mesh, dofmap)
+
+
 def interpolate_carstensen(u: BoundaryDatum, mesh: Mesh,
                            dofmap: DofMap) -> BoundaryTrace:
     """Weighted-average quasi-interpolant <u, phi_j> / <1, phi_j>.
 
     Well defined for merely integrable data; on the quadratic trace space the
     same formula is applied to the quadratic nodal basis, whose means
-    <1, phi_j> stay positive on 1D edges.
+    <1, phi_j> stay positive on 1D edges.  The means are exact
+    (:func:`edge_integrals`); only the moments use the boundary rule.
     """
-    moments = _edge_moments(mesh, dofmap, u)
-    integrals = EDGE_TRACE_GRAM[dofmap.pairing.kind].sum(axis=1)
-    means = np.bincount(
-        dofmap.boundary_edge_positions.ravel(),
-        np.outer(mesh.boundary_edge_lengths(), integrals).ravel(),
-        minlength=dofmap.n_boundary_dofs)
-    return BoundaryTrace(moments / means[:, None])
+    means = edge_integrals(np.ones((mesh.n_boundary_edges, 1)), mesh, dofmap)
+    return BoundaryTrace(_edge_moments(mesh, dofmap, u) / means)
 
 
 def interpolate_lagrange(u: BoundaryDatum, mesh: Mesh,
@@ -261,18 +261,15 @@ def build_corrector(kind: str, mesh: Mesh,
     ``affine_field`` takes the trace of y0 = (x - centroid) / 2, whose flux
     equals the domain area by the divergence theorem; ``projected_normal``
     takes the componentwise L2 boundary projection of the outward normal,
-    whose flux equals its squared boundary norm.
+    whose flux equals its squared boundary norm, from the exact moments of
+    the edgewise-constant normal (:func:`edge_integrals`), not the rule.
     """
     if kind == "affine_field":
-        centroid = mesh.polygon.centroid
-        points = dofmap.boundary_dof_points()
-        trace = BoundaryTrace(0.5 * (points - centroid))
+        trace = BoundaryTrace(
+            0.5 * (dofmap.boundary_dof_points() - mesh.polygon.centroid))
     elif kind == "projected_normal":
-        def evaluate(edge, s):
-            n = mesh.polygon.edge_normals[edge]
-            return np.broadcast_to(n, (np.size(s), 2)).copy()
-
-        trace = project_l2(BoundaryDatum(evaluate), mesh, dofmap)
+        trace = _solve_boundary_mass(
+            edge_integrals(mesh.boundary_normals, mesh, dofmap), mesh, dofmap)
     else:
         raise ValueError(f"unknown corrector kind {kind!r}")
     flux = boundary_flux(trace.coefficients, mesh, dofmap)

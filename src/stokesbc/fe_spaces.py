@@ -56,11 +56,7 @@ MINI = ElementPairing("mini")
 
 
 def pairing_from_name(name: str) -> ElementPairing:
-    if name == "taylor_hood":
-        return TAYLOR_HOOD
-    if name == "mini":
-        return MINI
-    raise ValueError(f"unknown pairing {name!r}")
+    return ElementPairing(name)
 
 
 @dataclass(frozen=True)
@@ -209,8 +205,6 @@ class DofMap:
     boundary_edge_positions : (nbe, k + 1) int array
         Per boundary edge the positions of its trace dofs in
         ``boundary_dofs``, in 1D trace order (start, [mid,] end).
-    boundary_edge_dofs : (nbe, k + 1) int array
-        ``boundary_dofs[boundary_edge_positions]``.
     """
 
     def __init__(self, mesh: Mesh, pairing: ElementPairing):
@@ -237,8 +231,6 @@ class DofMap:
         self.boundary_edge_positions = (
             k * np.arange(mesh.n_boundary_edges)[:, None]
             + np.arange(k + 1)) % len(self.boundary_dofs)
-        self.boundary_edge_dofs = self.boundary_dofs[
-            self.boundary_edge_positions]
         self.cell_pressure = tris  # the mesh keeps it read-only
         self.n_pressure = nv
 

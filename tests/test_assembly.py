@@ -6,8 +6,9 @@ from stokesbc._kernels import local_matrices
 from stokesbc.assembly import (_divergence_matrix, _local_blocks,
                                _stiffness_matrix, assemble_bordered_system,
                                assemble_boundary_mass, assemble_divergence,
-                               boundary_flux, compute_delta_h)
-from stokesbc.boundary_data import BoundaryTrace
+                               boundary_flux, compute_delta_h,
+                               edge_integrals)
+from stokesbc.boundary_data import BoundaryDatum, BoundaryTrace, _edge_moments
 from stokesbc.fe_spaces import (EDGE_TRACE_GRAM, MINI, TAYLOR_HOOD, _tabulate,
                                 build_dofmap, quadrature)
 from stokesbc.mesh import build_domain, refine_uniform, unit_square
@@ -125,6 +126,36 @@ def test_scatter_matches_explicit_coo_assembly(name, pairing, level):
            assemble_boundary_mass(mesh, dm), system.pressure_mass)
     for built, reference in zip(got, coo_reference_matrices(mesh, dm)):
         assert same_bits(built, reference)
+
+
+def edgewise_constant_datum(mesh, f):
+    """Datum equal to ``f[e]`` on boundary edge ``e``."""
+    def evaluate(edge, s):
+        on = np.flatnonzero(mesh.boundary_parent == edge)
+        at = np.searchsorted(mesh.boundary_edge_offsets()[on], s,
+                             side="right") - 1
+        return f[on[at]]
+
+    return BoundaryDatum(evaluate)
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("pairing", [TAYLOR_HOOD, MINI])
+@pytest.mark.parametrize("name", ["convex", "nonconvex", "unit_square"])
+def test_edge_integrals_are_exact_moments(name, pairing, level):
+    mesh = unit_square() if name == "unit_square" else build_domain(name)
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    dm = build_dofmap(mesh, pairing)
+    ones = edge_integrals(np.ones((mesh.n_boundary_edges, 1)), mesh, dm)
+    row_sums = assemble_boundary_mass(mesh, dm).sum(axis=1)
+    assert np.abs(ones - row_sums).max() <= 1e-15 * np.abs(row_sums).max()
+    f = np.random.default_rng(level).uniform(-1, 1,
+                                             (mesh.n_boundary_edges, 2))
+    got = edge_integrals(f, mesh, dm)
+    want = _edge_moments(mesh, dm, edgewise_constant_datum(mesh, f))
+    assert got.shape == (dm.n_boundary_dofs, 2)
+    assert np.abs(got - want).max() <= 1e-13
 
 
 @pytest.mark.parametrize("pairing", [TAYLOR_HOOD, MINI])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stokesbc import boundary_data
 from stokesbc.assembly import boundary_flux, compute_delta_h
 from stokesbc.boundary_data import (CORNER_LEVELS, GAUSS_POINTS,
                                     BoundaryDatum, BoundaryTrace,
@@ -353,6 +354,42 @@ def test_corrector_affine_flux_shift_invariant(square_p1):
         trace = 0.5 * (pts - np.asarray(shift))
         assert boundary_flux(trace, mesh, dm) == pytest.approx(
             mesh.polygon.area, rel=1e-12)
+
+
+@pytest.mark.parametrize("pairing", [TAYLOR_HOOD, MINI])
+def test_projected_normal_corrector_runs_no_boundary_rule(pairing,
+                                                          monkeypatch):
+    mesh = refine_uniform(build_domain("nonconvex"))
+    dm = build_dofmap(mesh, pairing)
+
+    def no_rule(mesh, datum):
+        raise AssertionError("_boundary_rule called")
+
+    monkeypatch.setattr(boundary_data, "_boundary_rule", no_rule)
+    assert build_corrector("projected_normal", mesh, dm).flux > 0
+
+
+def quadrature_normal_datum(mesh):
+    """The outward normal as a datum, integrated by the boundary rule."""
+    def evaluate(edge, s):
+        n = mesh.polygon.edge_normals[edge]
+        return np.broadcast_to(n, (np.size(s), 2)).copy()
+
+    return BoundaryDatum(evaluate)
+
+
+@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("pairing", [TAYLOR_HOOD, MINI])
+@pytest.mark.parametrize("name", ["convex", "nonconvex", "unit_square"])
+def test_projected_normal_matches_its_quadrature_projection(name, pairing,
+                                                            level):
+    mesh = unit_square() if name == "unit_square" else build_domain(name)
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    dm = build_dofmap(mesh, pairing)
+    want = project_l2(quadrature_normal_datum(mesh), mesh, dm).coefficients
+    got = build_corrector("projected_normal", mesh, dm).w_h.coefficients
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("pairing", [TAYLOR_HOOD, MINI])

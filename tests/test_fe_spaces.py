@@ -3,7 +3,7 @@ import pytest
 
 from stokesbc.fe_spaces import (MINI, TAYLOR_HOOD, _tabulate, build_dofmap,
                                 edge_trace_values, gauss_legendre_unit,
-                                quadrature)
+                                pairing_from_name, quadrature)
 from stokesbc.mesh import build_domain, refine_uniform, unit_square
 
 
@@ -170,6 +170,12 @@ def test_edge_trace_span(pairing, max_exact):
 def test_pairing_orders():
     assert TAYLOR_HOOD.velocity_order == 2
     assert MINI.velocity_order == 1
+
+
+def test_unknown_pairing_name_raises():
+    assert pairing_from_name("mini") == MINI
+    with pytest.raises(ValueError, match="unknown pairing 'p3'"):
+        pairing_from_name("p3")
 
 
 def test_quadrature_cached_and_read_only():

@@ -149,7 +149,7 @@ def test_edge_positions_follow_the_boundary_chain(domain, level, pairing):
 def test_boundary_midpoints_are_edge_midpoints(domain, level):
     mesh = refined(domain, level)
     dm = build_dofmap(mesh, pairing_from_name("taylor_hood"))
-    a, m, b = dm.boundary_edge_dofs.T
+    a, m, b = dm.boundary_dofs[dm.boundary_edge_positions].T
     midpoints = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
     assert np.array_equal(dm.dof_points()[m], midpoints)
     fine = refine_uniform(mesh)
