@@ -25,8 +25,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_boundary_mass, boundary_flux, edge_integrals
-from .fe_spaces import (DofMap, edge_trace_nodes, edge_trace_values,
-                        gauss_legendre_unit)
+from .fe_spaces import DofMap, edge_trace_nodes, edge_trace_values
 from .manufactured import SingularSolution, eval_velocity, velocity_from_polar
 from .mesh import Mesh
 
@@ -48,6 +47,12 @@ __all__ = [
 # keep the data-approximation quadrature error far below discretization error
 GAUSS_POINTS = 16
 CORNER_LEVELS = 12
+# the GAUSS_POINTS-point Gauss-Legendre rule on [0, 1], shared, read-only
+_nodes, _weights = np.polynomial.legendre.leggauss(GAUSS_POINTS)
+GAUSS_NODES, GAUSS_WEIGHTS = 0.5 * (_nodes + 1.0), 0.5 * _weights
+GAUSS_NODES.setflags(write=False)
+GAUSS_WEIGHTS.setflags(write=False)
+del _nodes, _weights
 
 
 @dataclass(frozen=True)
@@ -146,9 +151,8 @@ def _boundary_rule(mesh: Mesh, datum: BoundaryDatum):
     seg = (cut_edge[1:] == cut_edge[:-1]) & (cut_at[1:] > cut_at[:-1])
     start, width = cut_at[:-1][seg], np.diff(cut_at)[seg]
     edge = np.repeat(cut_edge[:-1][seg], GAUSS_POINTS)
-    xg, wg = gauss_legendre_unit(GAUSS_POINTS)
-    s = (start[:, None] + width[:, None] * xg).ravel()
-    return edge, s / lengths[edge], (width[:, None] * wg).ravel()
+    s = (start[:, None] + width[:, None] * GAUSS_NODES).ravel()
+    return edge, s / lengths[edge], (width[:, None] * GAUSS_WEIGHTS).ravel()
 
 
 def _datum_values(datum: BoundaryDatum, mesh: Mesh, edge, t):

@@ -23,10 +23,10 @@ from .boundary_data import (BoundaryDatum, build_corrector, datum_flux,
                             enforce_compatibility, interpolate_carstensen,
                             interpolate_lagrange, project_l2,
                             trace_of_solution)
-from .errors import (DEFAULT_QUAD_DEGREE, ConvergenceRecord, ErrorQuadrature,
-                     eoc, expected_order, h1_seminorm_velocity_error,
+from .errors import (ConvergenceRecord, ErrorQuadrature, eoc,
+                     expected_order, h1_seminorm_velocity_error,
                      l2_pressure_error, l2_velocity_error)
-from .fe_spaces import MAX_QUAD_DEGREE, build_dofmap, pairing_from_name
+from .fe_spaces import build_dofmap, pairing_from_name
 from .manufactured import SingularSolution
 from .mesh import build_domain, refine_uniform, unit_square
 from .solver import SolveError, solve
@@ -49,6 +49,8 @@ PROJECTORS = {
 }
 COMPAT_MODES = ("off", "affine_field", "projected_normal")
 OUTPUTS = ("csv", "markdown")
+# absolute tolerance of the counterexample's flux checks
+COUNTEREXAMPLE_TOL = 1e-12
 # study norms in table order: ConvergenceRecord field suffix (err_*, eoc_*)
 # and markdown heading
 NORMS = (("l2_velocity", "e_h (L2)"), ("h1_velocity", "|grad e_h|"),
@@ -61,7 +63,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Configuration of one convergence study."""
+    """Configuration of one convergence study.
+
+    The field names are the ``--config`` file keys; two differ from their
+    flags: ``alpha_sing`` is ``--alpha`` and ``pairing`` is ``--element``.
+    """
 
     domain: str = "convex"
     alpha_sing: float = 0.5
@@ -69,8 +75,6 @@ class StudyConfig:
     projector: str = "l2"
     compat: str = "off"
     levels: int = 6
-    quad_degree: int = DEFAULT_QUAD_DEGREE
-    alpha_reg: float = 1.0
     output: str = "markdown"
 
     def validate(self) -> None:
@@ -78,6 +82,9 @@ class StudyConfig:
             raise ConfigError(f"unknown domain {self.domain!r}")
         if not (np.isfinite(self.alpha_sing) and self.alpha_sing > -1.0):
             raise ConfigError("alpha must be finite and exceed -1")
+        if self.alpha_sing == 0:
+            raise ConfigError("alpha must be nonzero (the exact solution "
+                              "is zero at alpha = 0)")
         if self.pairing not in PAIRINGS:
             raise ConfigError(f"unknown element pairing {self.pairing!r}")
         if self.projector not in PROJECTORS:
@@ -87,11 +94,6 @@ class StudyConfig:
         if self.levels < 2:
             raise ConfigError("levels must be at least 2 (eoc needs two "
                               "meshes)")
-        if not 1 <= self.quad_degree <= MAX_QUAD_DEGREE:
-            raise ConfigError(f"quad-degree must lie in [1, "
-                              f"{MAX_QUAD_DEGREE}]")
-        if not (np.isfinite(self.alpha_reg) and self.alpha_reg >= 0):
-            raise ConfigError("alpha-reg must be finite and nonnegative")
         if self.output not in OUTPUTS:
             raise ConfigError(f"unknown output format {self.output!r}")
         if self.projector == "lagrange" and self.alpha_sing <= 0:
@@ -128,10 +130,9 @@ def run_convergence(config: StudyConfig) -> list[ConvergenceRecord]:
         mesh = refine_uniform(mesh)
         dofmap = build_dofmap(mesh, pairing)
         u_h = approximate_datum(config, datum, mesh, dofmap)
-        system = assemble_bordered_system(mesh, dofmap, u_h,
-                                          alpha_reg=config.alpha_reg)
+        system = assemble_bordered_system(mesh, dofmap, u_h)
         y_h, report = solve(system)
-        quad = ErrorQuadrature(mesh, dofmap, quad_degree=config.quad_degree)
+        quad = ErrorQuadrature(mesh, dofmap)
         errs = {name: norm(y_h, sol, quad) for name, norm in norms.items()}
         rec = ConvergenceRecord(
             level=level, h=mesh.h,
@@ -159,11 +160,11 @@ class CounterexampleReport:
     flux_exact: float
     flux_l2: float
     flux_carstensen: float
-    tol: float = 1e-12
 
     def _checks(self):
-        """(label, flux, exact value, within tol) of each flux."""
-        return [(label, value, target, abs(value - target) <= self.tol)
+        """(label, flux, exact value, within tolerance) of each flux."""
+        return [(label, value, target,
+                 abs(value - target) <= COUNTEREXAMPLE_TOL)
                 for label, value, target in (
                     ("exact datum      <u, n>", self.flux_exact, 0.0),
                     ("L2 projection    <u_h, n>", self.flux_l2, 3.0 / 16.0),
@@ -291,8 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--projector", choices=tuple(PROJECTORS))
     conv.add_argument("--compat", choices=COMPAT_MODES)
     conv.add_argument("--levels", type=int)
-    conv.add_argument("--quad-degree", type=int, dest="quad_degree")
-    conv.add_argument("--alpha-reg", type=float, dest="alpha_reg")
     conv.add_argument("--output", choices=OUTPUTS)
     conv.add_argument("--out", help="write the table to a file")
     ce = sub.add_parser("counterexample",
@@ -312,7 +311,8 @@ def _config_from_args(args) -> StudyConfig:
         fields = {f: type(getattr(config, f)) for f in config.__dataclass_fields__}
         unknown = set(file_values) - set(fields)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}; "
+                              f"the keys are {', '.join(fields)}")
         cast = {}
         for key, value in file_values.items():
             try:

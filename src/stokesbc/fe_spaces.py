@@ -104,19 +104,6 @@ def quadrature(degree: int) -> QuadratureRule:
     return QuadratureRule(pts, wts, degree)
 
 
-@lru_cache(maxsize=8)
-def gauss_legendre_unit(n: int):
-    """n-point Gauss-Legendre nodes/weights on [0, 1].
-
-    Cached per ``n``; the arrays are read-only, so callers can share them.
-    """
-    x, w = np.polynomial.legendre.leggauss(n)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 # local basis layout per pairing: vertices first, then edge midpoints
 # (Taylor-Hood, edge k joins local vertices k and k+1) or the cell bubble
 # (MINI).  Pressure is always the P1 vertex basis.

@@ -15,7 +15,8 @@ CG stops on its Euclidean residual, which is the whole system's: the
 velocity rows hold up to roundoff in the factorisation, the pressure rows'
 residual is the CG residual, and the border row is made exact by the final
 shift of ``p`` along the constants, which ``B^T`` maps to zero.  The
-residual of the result is then recomputed and checked against ``tol``.
+residual of the result is then recomputed and checked against the fixed
+relative tolerance ``RESIDUAL_TOL``.
 """
 
 from __future__ import annotations
@@ -29,14 +30,11 @@ from .assembly import BorderedSystem, DiscreteSolution
 
 __all__ = ["LinearSolveReport", "SolveError", "solve"]
 
-DEFAULT_TOL = 1e-10
+RESIDUAL_TOL = 1e-10
 CG_MAXITER = 1000
 # SuperLU reports running out of memory as SystemError ("gstrf was called
 # with invalid arguments") or MemoryError
 _FACTOR_ERRORS = (RuntimeError, ValueError, SystemError, MemoryError)
-# sparse LU of an SPD matrix, pivoting on the diagonal only
-_SPD = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-            options={"SymmetricMode": True})
 
 
 @dataclass(frozen=True)
@@ -54,15 +52,15 @@ class SolveError(RuntimeError):
     """Structural singularity or non-convergence of the linear solve."""
 
 
-def solve(system: BorderedSystem, tol: float = DEFAULT_TOL):
+def solve(system: BorderedSystem):
     """Solve a bordered system by Schur-complement CG on the pressure.
 
-    Returns (DiscreteSolution, LinearSolveReport).
+    Returns (DiscreteSolution, LinearSolveReport).  Raises SolveError
+    unless the residual is at most ``RESIDUAL_TOL`` times the right-hand
+    side's norm.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    lu = _factorize(system.K, "velocity block", **_SPD)
-    mass = _factorize(system.pressure_mass, "pressure mass", **_SPD)
+    lu = _factorize(system.K, "velocity block")
+    mass = _factorize(system.pressure_mass, "pressure mass")
 
     def velocity_solve(v):
         """``A^{-1} v`` for ``A = diag(K, K)``: one two-column solve."""
@@ -77,7 +75,7 @@ def solve(system: BorderedSystem, tol: float = DEFAULT_TOL):
     # S p = B y0 + s delta - g; r is minus the pressure rows' residual
     r = B @ y + s * delta - system.rhs_g
     # the margin covers the drift of the updated r and the LU roundoff
-    target = 1e-3 * tol * np.linalg.norm(rhs)
+    target = 1e-3 * RESIDUAL_TOL * np.linalg.norm(rhs)
     z = mass.solve(r)
     d, rz = z, r @ z
     iterations = 0
@@ -98,29 +96,29 @@ def solve(system: BorderedSystem, tol: float = DEFAULT_TOL):
     # B^T 1 = 0: a constant shift of p meets the border row, moving no other
     p += (system.alpha_reg * (system.delta_target - delta) - s @ p) / s.sum()
     x = np.concatenate([[delta], y, p])
-    report = _report(x, system.apply(x), rhs, tol, iterations,
-                     lu.nnz + mass.nnz)
+    report = _report(x, system.apply(x), rhs, iterations, lu.nnz + mass.nnz)
     return system.unpack(x), report
 
 
-def _report(x, product, rhs, tol, iterations, factor_nnz):
+def _report(x, product, rhs, iterations, factor_nnz):
     """Reject a non-finite or inaccurate ``x`` (``product`` is its image)."""
     if not np.all(np.isfinite(x)):
         raise SolveError("solver produced non-finite values "
                          "(structurally singular system?)")
     residual = float(np.linalg.norm(rhs - product))
     scale = float(np.linalg.norm(rhs))
-    if residual > tol * max(scale, 1e-300) and scale > 0:
-        raise SolveError(
-            f"relative residual {residual / scale:.3e} exceeds tol {tol:.1e}")
-    if scale == 0 and residual > tol:
-        raise SolveError(f"residual {residual:.3e} exceeds tol {tol:.1e}")
+    # relative to the right-hand side; absolute when that is zero
+    if residual > RESIDUAL_TOL * (scale or 1.0):
+        raise SolveError(f"residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} "
+                         f"times the right-hand side's norm {scale:.3e}")
     return LinearSolveReport(residual_norm=residual, iterations=iterations,
                              factor_nnz=factor_nnz)
 
 
-def _factorize(matrix, what: str, **options):
+def _factorize(matrix, what: str):
+    """Sparse LU of an SPD matrix, pivoting on the diagonal only."""
     try:
-        return spla.splu(matrix, **options)
+        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0, options={"SymmetricMode": True})
     except _FACTOR_ERRORS as exc:
         raise SolveError(f"{what} factorization failed: {exc}") from exc

@@ -3,7 +3,8 @@ import pytest
 
 from stokesbc import boundary_data
 from stokesbc.assembly import boundary_flux, compute_delta_h
-from stokesbc.boundary_data import (CORNER_LEVELS, GAUSS_POINTS,
+from stokesbc.boundary_data import (CORNER_LEVELS, GAUSS_NODES,
+                                    GAUSS_POINTS, GAUSS_WEIGHTS,
                                     BoundaryDatum, BoundaryTrace,
                                     _boundary_rule, _datum_values,
                                     build_corrector,
@@ -15,7 +16,7 @@ from stokesbc.boundary_data import (CORNER_LEVELS, GAUSS_POINTS,
 from stokesbc.cli import counterexample_datum
 from stokesbc.errors import eoc
 from stokesbc.fe_spaces import (MINI, TAYLOR_HOOD, DofMap, build_dofmap,
-                                edge_trace_nodes, gauss_legendre_unit)
+                                edge_trace_nodes)
 from stokesbc.manufactured import SingularSolution
 from stokesbc.mesh import build_domain, refine_uniform, unit_square
 
@@ -43,6 +44,15 @@ def solenoidal_datum(polygon):
 
 
 # --- boundary quadrature ----------------------------------------------------
+
+
+def test_gauss_rule_is_read_only_unit_leggauss():
+    assert not GAUSS_NODES.flags.writeable
+    assert not GAUSS_WEIGHTS.flags.writeable
+    assert GAUSS_POINTS == 16
+    ref_x, ref_w = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(GAUSS_NODES, 0.5 * (ref_x + 1.0))
+    assert np.array_equal(GAUSS_WEIGHTS, 0.5 * ref_w)
 
 
 def geometric_boundary_rule(mesh, datum):
@@ -73,9 +83,8 @@ def geometric_boundary_rule(mesh, datum):
     seg = (cut_edge[1:] == cut_edge[:-1]) & (cut_at[1:] > cut_at[:-1])
     start, width = cut_at[:-1][seg], np.diff(cut_at)[seg]
     edge = np.repeat(cut_edge[:-1][seg], GAUSS_POINTS)
-    xg, wg = gauss_legendre_unit(GAUSS_POINTS)
-    s = (start[:, None] + width[:, None] * xg).ravel()
-    return edge, s / lengths[edge], (width[:, None] * wg).ravel()
+    s = (start[:, None] + width[:, None] * GAUSS_NODES).ravel()
+    return edge, s / lengths[edge], (width[:, None] * GAUSS_WEIGHTS).ravel()
 
 
 @pytest.mark.parametrize("level", range(5))

@@ -31,17 +31,14 @@ def test_counterexample_values():
 @pytest.mark.parametrize("kwargs,fragment", [
     (dict(domain="circle"), "domain"),
     (dict(alpha_sing=-1.5), "alpha"),
+    (dict(alpha_sing=0.0), "exact solution is zero"),
     (dict(pairing="p2p0"), "pairing"),
     (dict(projector="clement"), "projector"),
     (dict(compat="local"), "compat"),
     (dict(levels=1), "levels"),
-    (dict(quad_degree=0), "quad-degree"),
-    (dict(alpha_reg=-1.0), "alpha-reg"),
     (dict(output="json"), "output"),
     (dict(projector="lagrange", alpha_sing=-0.1), "lagrange"),
     (dict(alpha_sing=np.inf), "alpha must be finite"),
-    (dict(alpha_reg=np.nan), "alpha-reg must be finite"),
-    (dict(alpha_reg=np.inf), "alpha-reg must be finite"),
 ])
 def test_config_validation_messages(kwargs, fragment):
     config = StudyConfig(**kwargs)
@@ -136,8 +133,11 @@ def test_main_validation_error_exit_code(capsys):
     assert main(["convergence", "--levels", "1"]) == 1
     assert "levels" in capsys.readouterr().err
     # a non-finite setting fails validation, not the solve
-    assert main(["convergence", "--levels", "2", "--alpha-reg", "nan"]) == 1
-    assert "alpha-reg must be finite" in capsys.readouterr().err
+    assert main(["convergence", "--levels", "2", "--alpha", "nan"]) == 1
+    assert "alpha must be finite" in capsys.readouterr().err
+    # alpha = 0 makes every error zero, so eoc would fail after the study
+    assert main(["convergence", "--alpha", "0", "--levels", "2"]) == 1
+    assert "exact solution is zero" in capsys.readouterr().err
 
 
 def test_main_lagrange_rejected_for_rough_data(capsys):
@@ -161,10 +161,14 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert out2.read_text().count("\n") == out1.read_text().count("\n") + 1
 
 
-def test_config_file_unknown_key(tmp_path):
+def test_config_file_unknown_key(tmp_path, capsys):
+    # two keys differ from their flags; the error names the accepted keys
     cfg = tmp_path / "study.cfg"
-    cfg.write_text("mesh_size = 3\n")
+    cfg.write_text("alpha = 0.3\nelement = mini\nmesh_size = 3\n")
     assert main(["convergence", "--config", str(cfg), "--levels", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "['alpha', 'element', 'mesh_size']" in err
+    assert "alpha_sing" in err and "pairing" in err
 
 
 def test_config_file_bad_value_names_key(tmp_path, capsys):

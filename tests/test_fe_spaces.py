@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from stokesbc.fe_spaces import (MINI, TAYLOR_HOOD, _tabulate, build_dofmap,
-                                edge_trace_values, gauss_legendre_unit,
-                                pairing_from_name, quadrature)
+                                edge_trace_values, pairing_from_name,
+                                quadrature)
 from stokesbc.mesh import build_domain, refine_uniform, unit_square
 
 
@@ -183,14 +183,3 @@ def test_quadrature_cached_and_read_only():
     assert quadrature(7) is rule
     assert not rule.points.flags.writeable
     assert not rule.weights.flags.writeable
-
-
-def test_gauss_legendre_unit_cached_and_read_only():
-    x, w = gauss_legendre_unit(16)
-    again = gauss_legendre_unit(16)
-    assert again[0] is x and again[1] is w
-    assert not x.flags.writeable
-    assert not w.flags.writeable
-    ref_x, ref_w = np.polynomial.legendre.leggauss(16)
-    assert np.array_equal(x, 0.5 * (ref_x + 1.0))
-    assert np.array_equal(w, 0.5 * ref_w)

@@ -34,20 +34,29 @@ def test_homogeneous_rhs():
 
 def test_residual_contract():
     system = stokes_system()
-    tol = 1e-10
-    sol, report = solve(system, tol=tol)
+    sol, report = solve(system)
     x = np.concatenate([[sol.delta_h],
                         sol.velocity[system.dofmap.interior_dofs].T.ravel(),
                         sol.pressure])
     rhs = system.rhs()
-    assert report.residual_norm <= tol * np.linalg.norm(rhs)
+    assert report.residual_norm <= solver.RESIDUAL_TOL * np.linalg.norm(rhs)
     assert report.residual_norm == pytest.approx(
         np.linalg.norm(rhs - system.matrix() @ x), rel=1e-12)
 
 
-def test_invalid_tol():
-    with pytest.raises(ValueError):
-        solve(stokes_system(), tol=0.0)
+def test_residual_check_is_relative_or_absolute_at_zero_rhs():
+    x = np.zeros(3)
+    rhs = np.array([3.0, 4.0, 0.0])  # norm 5
+    off = np.array([0.0, 0.0, 1.0])
+    # relative to the right-hand side's norm
+    solver._report(x, rhs + 4.9e-10 * off, rhs, 1, 1)
+    with pytest.raises(SolveError, match="exceeds"):
+        solver._report(x, rhs + 5.1e-10 * off, rhs, 1, 1)
+    # absolute when the right-hand side is zero
+    zero = np.zeros(3)
+    solver._report(x, 0.9e-10 * off, zero, 1, 1)
+    with pytest.raises(SolveError, match="exceeds"):
+        solver._report(x, 1.1e-10 * off, zero, 1, 1)
 
 
 def test_non_finite_solution_reported():
