@@ -71,14 +71,12 @@ def _scatter(local, rows, cols, shape, keep=slice(None)) -> sp.csr_matrix:
     (nc,); ``keep`` selects entries of the flattened ``nr * nc`` block.
     """
     nr, nc = local.shape[1:]
-    # the index arrays are temporaries: the COO keeps its own copies
-    mat = sp.coo_matrix((local.reshape(len(local), -1)[:, keep].ravel(),
-                         (np.repeat(rows, nc, axis=1)[:, keep].ravel(),
-                          np.tile(cols, (1, nr))[:, keep].ravel())),
-                        shape=shape).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
+    # the index arrays are temporaries (the COO keeps its own copies); tocsr
+    # sums the duplicates and sorts the indices
+    return sp.coo_matrix((local.reshape(len(local), -1)[:, keep].ravel(),
+                          (np.repeat(rows, nc, axis=1)[:, keep].ravel(),
+                           np.tile(cols, (1, nr))[:, keep].ravel())),
+                         shape=shape).tocsr()
 
 
 def _stiffness_matrix(kloc, dofmap: DofMap) -> sp.csr_matrix:

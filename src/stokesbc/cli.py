@@ -132,8 +132,8 @@ def run_convergence(config: StudyConfig) -> list[ConvergenceRecord]:
         u_h = approximate_datum(config, datum, mesh, dofmap)
         system = assemble_bordered_system(mesh, dofmap, u_h)
         y_h, report = solve(system)
-        quad = ErrorQuadrature(mesh, dofmap)
-        errs = {name: norm(y_h, sol, quad) for name, norm in norms.items()}
+        quad = ErrorQuadrature(mesh, dofmap, sol)
+        errs = {name: norm(y_h, quad) for name, norm in norms.items()}
         rec = ConvergenceRecord(
             level=level, h=mesh.h,
             n_dofs=2 * dofmap.n_scalar_velocity + dofmap.n_pressure + 1,

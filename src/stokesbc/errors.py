@@ -1,14 +1,15 @@
 """Discretization error norms and experimental convergence orders.
 
-All error integrals on one mesh share one ``ErrorQuadrature``: a
-fixed-degree triangle rule on every cell, where the cells touching the
-singular corner are split into dyadically shrinking layers toward the origin
-so that integrands like |y|^2 ~ r^(2a) with a near -1/2 are resolved.  Each
-layer is one more sub-cell of the point set, with no branch for the corner.
+All error integrals of one solution on one mesh share one
+``ErrorQuadrature``: a fixed-degree triangle rule on every cell, and on the
+cells touching the singular corner the layered rule, the same rule mapped
+into dyadically shrinking layers toward the origin, so that integrands like
+|y|^2 ~ r^(2a) with a near -1/2 are resolved.  The cells of a batch share
+one reference point set, so the norms have no branch for the corner.
 The quadrature evaluates the exact velocity, gradient and pressure at its
-points once per solution, in one pass, and the three norms share them.  The
-pass and each norm's reduction run over chunks of at most ``CHUNK`` points,
-so their temporaries do not grow with the mesh.
+points once, when it is built, and the three norms share them.  That pass
+and each norm's reduction run over chunks of at most ``CHUNK`` points, so
+their temporaries do not grow with the mesh.
 The layering depth is configurable; the test
 ``test_corner_subdivision_robustness`` checks that deepening the layers does
 not move the value.  Studies do not run that check.
@@ -64,28 +65,33 @@ class ConvergenceRecord:
 
 @dataclass(frozen=True)
 class _Batch:
-    """Quadrature points of n (sub-)cells, each inside one mesh cell.
+    """Quadrature points of n mesh cells that share one reference point set
+    of nq points, with the exact fields of the solution at them."""
 
-    Basis tables are either shared by all cells, shaped (nq, ...), or held per
-    sub-cell, shaped (n, nq, ...); the kernels broadcast over both.
-    """
-
-    points: np.ndarray         # (n, nq, 2) physical points
     weights: np.ndarray        # (n, nq) physical weights
-    invjt: np.ndarray          # (n, 2, 2) inverse-transpose parent Jacobian
-    cell_velocity: np.ndarray  # (n, nl) parent scalar velocity dofs
-    cell_pressure: np.ndarray  # (n, 3) parent pressure dofs
-    vals_v: np.ndarray         # (..., nq, nl) velocity basis values
-    grads_v: np.ndarray        # (..., nq, nl, 2) reference gradients
-    vals_p: np.ndarray         # (..., nq, 3) pressure basis values
+    invjt: np.ndarray          # (n, 2, 2) inverse-transpose Jacobian
+    cell_velocity: np.ndarray  # (n, nl) scalar velocity dofs
+    cell_pressure: np.ndarray  # (n, 3) pressure dofs
+    vals_v: np.ndarray         # (nq, nl) velocity basis values
+    grads_v: np.ndarray        # (nq, nl, 2) reference gradients
+    vals_p: np.ndarray         # (nq, 3) pressure basis values
+    exact: dict                # exact fields, each (n, nq, ...)
 
-    def cells(self, s: slice) -> _Batch:
-        """The cells ``s``; tables shared by all cells stay whole."""
-        shared = self.vals_v.ndim == 2
-        tables = [t if shared else t[s]
-                  for t in (self.vals_v, self.grads_v, self.vals_p)]
-        return _Batch(self.points[s], self.weights[s], self.invjt[s],
-                      self.cell_velocity[s], self.cell_pressure[s], *tables)
+    def part(self, s: slice, p: slice) -> _Batch:
+        """The cells ``s`` at their reference points ``p``."""
+        return _Batch(self.weights[s, p], self.invjt[s],
+                      self.cell_velocity[s], self.cell_pressure[s],
+                      self.vals_v[p], self.grads_v[p], self.vals_p[p],
+                      {k: v[s, p] for k, v in self.exact.items()})
+
+
+def _chunks(n: int, nq: int):
+    """(cells, points) slices of an (n, nq) batch in cell-major order, of at
+    most CHUNK points each: whole cells, or runs of one cell's points."""
+    step, run = max(1, CHUNK // nq), min(nq, CHUNK)
+    for i in range(0, n, step):
+        for j in range(0, nq, run):
+            yield slice(i, i + step), slice(j, j + run)
 
 
 def _dyadic_layers(levels: int):
@@ -108,133 +114,114 @@ def _dyadic_layers(levels: int):
 
 
 class ErrorQuadrature:
-    """Quadrature points of the error integrals on one mesh, built once.
+    """Quadrature points of the error integrals of one solution on one mesh
+    and the exact fields at them, built once.
 
-    Two batches of the same layout: the regular cells, sharing one
-    tabulation of the reference rule, and every dyadic layer of every cell
-    with a vertex at the origin, each layer a sub-cell with its own
-    tabulation at its points mapped back into the parent cell.
+    Each batch is a set of cells that share one reference point set and its
+    basis tables: the regular cells use the reference rule; the cells at the
+    origin use the layered rule, one batch per local position of the origin.
     """
 
-    def __init__(self, mesh: Mesh, dofmap: DofMap,
+    def __init__(self, mesh: Mesh, dofmap: DofMap, sol: SingularSolution,
                  quad_degree: int = DEFAULT_QUAD_DEGREE,
                  corner_levels: int = DEFAULT_CORNER_LEVELS):
-        self.mesh = mesh
+        self.mesh, self.sol = mesh, sol
         rule = quadrature(quad_degree)
-        tri_xy = mesh.vertices[mesh.triangles]
-        detj, invjt = _kernels.affine_jacobians(tri_xy)
+        detj, invjt = _kernels.affine_jacobians(
+            mesh.vertices[mesh.triangles])
 
-        def batch(cells, bary, weights):
-            vals_v, grads_v = _tabulate(dofmap.pairing, bary.reshape(-1, 3))
-            shape = bary.shape[:-1]
-            return _Batch(
-                points=bary @ tri_xy[cells],
-                weights=weights, invjt=invjt[cells],
-                cell_velocity=dofmap.cell_velocity[cells],
-                cell_pressure=dofmap.cell_pressure[cells],
-                vals_v=vals_v.reshape(shape + (-1,)),
-                grads_v=grads_v.reshape(shape + (-1, 2)),
-                vals_p=bary)  # the P1 pressure basis values
+        def batch(cells, bary, ratio):
+            # points layer-major; weight (detj * layer area ratio) * rule weight
+            weights = np.multiply.outer(np.multiply.outer(detj[cells], ratio),
+                                        rule.weights)
+            vals_v, grads_v = _tabulate(dofmap.pairing, bary)
+            return _Batch(weights.reshape(len(cells), -1), invjt[cells],
+                          dofmap.cell_velocity[cells],
+                          dofmap.cell_pressure[cells], vals_v, grads_v,
+                          vals_p=bary,  # the P1 pressure basis values
+                          exact=_exact_at(sol, mesh, cells, bary))
 
         at_origin = mesh.triangles == 0  # vertex 0 is the origin
-        is_corner = at_origin.any(axis=1)
-        regular = np.flatnonzero(~is_corner)
-        corner = np.flatnonzero(is_corner)
         layers, ratio = _dyadic_layers(corner_levels)
-        sub = np.einsum("qv,mvk->mqk", rule.points, layers)
-        # barycentric column i of a layer is parent vertex (i + origin) % 3
-        origin = np.argmax(at_origin[corner], axis=1)
-        cols = (np.arange(3) - origin[:, None]) % 3
-        bary = sub[:, :, cols].transpose(2, 0, 1, 3).reshape(
-            -1, *sub.shape[1:])
-        parent = np.repeat(corner, len(ratio))
-        scale = detj[parent] * np.tile(ratio, len(corner))
-        self.batches = (
-            batch(regular, rule.points,
-                  np.multiply.outer(detj[regular], rule.weights)),
-            batch(parent, bary, np.multiply.outer(scale, rule.weights)))
-        self._exact = (None, None)
+        layered = np.einsum("qv,mvk->mqk", rule.points, layers).reshape(-1, 3)
+        # the regular rule is one layer of area ratio 1; barycentric column
+        # o of the layered rule is the origin's vertex
+        groups = [(np.flatnonzero(~at_origin.any(axis=1)), rule.points,
+                   np.ones(1))]
+        groups += [(np.flatnonzero(at_origin[:, o]),
+                    np.roll(layered, o, axis=1), ratio) for o in range(3)]
+        self.batches = tuple(batch(*g) for g in groups if len(g[0]))
 
-    def parts(self, sol: SingularSolution):
-        """(cells, exact fields) pairs of at most CHUNK points each.
-
-        The fields are the exact ``velocity`` (n, nq, 2) and, for alpha > 0,
-        ``gradient`` (n, nq, 2, 2) [d y_c / d x_d] and ``pressure`` (n, nq),
-        evaluated once and kept for the last solution asked about.
-        """
-        if self._exact[0] != sol:
-            self._exact = (sol, [_exact_at(sol, b.points)
-                                 for b in self.batches])
-        for b, exact in zip(self.batches, self._exact[1]):
-            step = max(1, CHUNK // b.weights.shape[1])
-            for i in range(0, len(b.weights), step):
-                s = slice(i, i + step)
-                yield b.cells(s), {k: v[s] for k, v in exact.items()}
+    def parts(self):
+        """The batches in parts of at most CHUNK points each."""
+        for b in self.batches:
+            for s, p in _chunks(*b.weights.shape):
+                yield b.part(s, p)
 
 
-def _exact_at(sol: SingularSolution, points: np.ndarray) -> dict:
-    """The exact fields of ``ErrorQuadrature.parts`` at the points of one
-    batch, evaluated in chunks of CHUNK points."""
-    flat = points.reshape(-1, 2)
-    n = len(flat)
-    out = {"velocity": np.empty(n, dtype=complex)}
+def _exact_at(sol: SingularSolution, mesh: Mesh, cells: np.ndarray,
+              bary: np.ndarray) -> dict:
+    """Exact fields at the points ``bary`` of the cells ``cells``: the
+    ``velocity`` (n, nq, 2) and, for alpha > 0, ``gradient`` (n, nq, 2, 2)
+    [d y_c / d x_d] and ``pressure`` (n, nq), evaluated by chunks."""
+    shape = (len(cells), len(bary))
+    out = {"velocity": np.empty(shape, dtype=complex)}
     if sol.alpha > 0:
-        out.update(gradient=np.empty((n, 2), dtype=complex),
-                   pressure=np.empty(n))
-    for i in range(0, n, CHUNK):
-        exact_fields(sol, flat[i:i + CHUNK],
-                     **{k: v[i:i + CHUNK] for k, v in out.items()})
-    shape = points.shape[:-1]
+        out.update(gradient=np.empty(shape + (2,), dtype=complex),
+                   pressure=np.empty(shape))
+    for s, p in _chunks(*shape):
+        points = bary[p] @ mesh.vertices[mesh.triangles[cells[s]]]
+        # each chunk is contiguous, so the reshapes are views
+        exact_fields(sol, points.reshape(-1, 2),
+                     **{k: v[s, p].reshape(-1, *v.shape[2:])
+                        for k, v in out.items()})
     out["velocity"] = out["velocity"].view(float).reshape(shape + (2,))
     if "gradient" in out:
         out["gradient"] = out["gradient"].view(float).reshape(
             shape + (2, 2)).swapaxes(-1, -2)
-        out["pressure"] = out["pressure"].reshape(shape)
     return out
 
 
-def l2_velocity_error(y_h: DiscreteSolution, sol: SingularSolution,
-                      quad: ErrorQuadrature) -> float:
+def l2_velocity_error(y_h: DiscreteSolution, quad: ErrorQuadrature) -> float:
     """L2 norm of the velocity error against the exact singular solution."""
     total = 0.0
-    for b, exact in quad.parts(sol):
+    for b in quad.parts():
         total += _kernels.l2_accumulate(y_h.velocity[b.cell_velocity],
                                         b.vals_v, b.weights,
-                                        exact["velocity"])
+                                        b.exact["velocity"])
     return float(np.sqrt(total))
 
 
-def h1_seminorm_velocity_error(y_h: DiscreteSolution, sol: SingularSolution,
+def h1_seminorm_velocity_error(y_h: DiscreteSolution,
                                quad: ErrorQuadrature) -> float:
     """H1 seminorm of the velocity error; requires a positive exponent."""
-    if sol.alpha <= 0:
+    if quad.sol.alpha <= 0:
         raise ValueError("exact velocity is not in H1 for alpha <= 0")
     total = 0.0
-    for b, exact in quad.parts(sol):
+    for b in quad.parts():
         total += _kernels.h1_accumulate(y_h.velocity[b.cell_velocity],
                                         b.grads_v, b.invjt, b.weights,
-                                        exact["gradient"])
+                                        b.exact["gradient"])
     return float(np.sqrt(total))
 
 
-def l2_pressure_error(y_h: DiscreteSolution, sol: SingularSolution,
-                      quad: ErrorQuadrature) -> float:
+def l2_pressure_error(y_h: DiscreteSolution, quad: ErrorQuadrature) -> float:
     """L2 norm of the pressure error after matching both means to zero.
 
     The discrete pressure is normalized to zero mean by the multiplier row;
     the exact pressure is shifted accordingly, so errors are compared in the
     quotient space modulo constants.
     """
-    if sol.alpha <= 0:
+    if quad.sol.alpha <= 0:
         raise ValueError("exact pressure is not in L2 for alpha <= 0")
     # per chunk its weight sum, weighted sum and square sum about its own
     # mean; about the global mean m they combine as in a parallel variance:
     # sum w (d - m)^2 = sum over chunks of q + w_c (mean_c - m)^2
     sums = []
-    for b, exact in quad.parts(sol):
+    for b in quad.parts():
         approx = np.einsum("...qi,...i->...q", b.vals_p,
                            y_h.pressure[b.cell_pressure])
-        w, diff = b.weights.ravel(), (exact["pressure"] - approx).ravel()
+        w, diff = b.weights.ravel(), (b.exact["pressure"] - approx).ravel()
         w_sum, wd_sum = w.sum(), w @ diff
         sums.append((w_sum, wd_sum, w @ (diff - wd_sum / w_sum) ** 2))
     w_sum, wd_sum, q = np.array(sums).T

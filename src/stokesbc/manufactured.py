@@ -201,28 +201,21 @@ def eval_velocity_gradient(sol: SingularSolution, points) -> np.ndarray:
 # largest omega wins; for the two study domains the corner at the origin is
 # the one with the maximal interior angle, so xi is determined there
 def solve_xi(omega: float) -> float:
-    """Smallest root in (1/2, 1) of sin^2(lambda*omega) = lambda^2 sin^2(omega).
+    """Root in (1/2, 1) of sin(lambda*omega) + lambda*sin(omega) = 0.
 
-    Characterizes the corner regularity of the homogeneous-Dirichlet Stokes
-    problem at a reentrant corner of opening ``omega``.  For a convex opening
-    (omega <= pi) the exponent exceeds 1 and the value 2.0 is returned as a
-    convexity flag.
+    It is the smallest root there of sin^2(lambda*omega) =
+    lambda^2 sin^2(omega), which characterizes the corner regularity of the
+    homogeneous-Dirichlet Stokes problem at a reentrant corner of opening
+    ``omega``.  For a convex opening (omega <= pi) the exponent exceeds 1
+    and the value 2.0 is returned as a convexity flag.
     """
     if not 0.0 < omega < 2.0 * np.pi:
         raise ValueError("omega must lie in (0, 2*pi)")
     if omega <= np.pi:
         return 2.0
-
-    def f(lam):
-        return np.sin(lam * omega) ** 2 - lam ** 2 * np.sin(omega) ** 2
-
     # imported here: scipy.optimize adds about 0.2 s to the package import
     from scipy.optimize import brentq
-    # the first sign change on a 4096-interval scan brackets the smallest root
-    grid = 0.5 + 0.5 * np.arange(4097) / 4096
-    values = f(grid)
-    change = np.flatnonzero(values[:-1] * values[1:] <= 0.0)
-    if not len(change):
-        raise ValueError("no sign change of the exponent equation in (1/2, 1)")
-    i = change[0]
-    return float(brentq(f, grid[i], grid[i + 1], xtol=1e-15))
+    # for omega in (pi, 2 pi) the ends bracket a sign change: the value is
+    # sin(omega/2) (1 + cos(omega/2)) > 0 at 1/2 and 2 sin(omega) < 0 at 1
+    return float(brentq(lambda lam: np.sin(lam * omega) + lam * np.sin(omega),
+                        0.5, 1.0, xtol=1e-15))

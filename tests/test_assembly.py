@@ -126,6 +126,8 @@ def test_scatter_matches_explicit_coo_assembly(name, pairing, level):
            assemble_boundary_mass(mesh, dm), system.pressure_mass)
     for built, reference in zip(got, coo_reference_matrices(mesh, dm)):
         assert same_bits(built, reference)
+        # summed duplicates and sorted indices, from tocsr alone
+        assert built.has_canonical_format
 
 
 def edgewise_constant_datum(mesh, f):

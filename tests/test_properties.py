@@ -180,8 +180,9 @@ def test_error_quadrature_weights_sum_to_area(domain, level, pairing,
                                               quad_degree, corner_levels,
                                               seed):
     mesh = relabelled(refined(domain, level), seed)
-    quad = ErrorQuadrature(mesh, build_dofmap(mesh, pairing), quad_degree,
-                           corner_levels)
+    sol = SingularSolution(0.5, mesh.polygon.corner_angle)
+    quad = ErrorQuadrature(mesh, build_dofmap(mesh, pairing), sol,
+                           quad_degree, corner_levels)
     total = sum(float(b.weights.sum()) for b in quad.batches)
     assert abs(total - mesh.polygon.area) <= 1e-13 * mesh.polygon.area
 
@@ -194,12 +195,22 @@ def test_corner_layers_do_not_depend_on_vertex_labels(domain, level,
                                                       corner_levels, seed):
     # the layers shrink toward the origin whichever local vertex it is
     mesh = refined(domain, level)
-    corner = [ErrorQuadrature(m, build_dofmap(m, pairing_from_name("mini")),
-                              quad_degree, corner_levels).batches[1]
-              for m in (mesh, relabelled(mesh, seed))]
-    for name in ("points", "weights"):
-        np.testing.assert_allclose(getattr(corner[1], name),
-                                   getattr(corner[0], name), rtol=1e-13)
+    sol = SingularSolution(0.5, mesh.polygon.corner_angle)
+
+    def corner_cells(m):
+        # weights and exact velocity of each cell at the origin (vertex 0),
+        # keyed by its vertices
+        quad = ErrorQuadrature(m, build_dofmap(m, pairing_from_name("mini")),
+                               sol, quad_degree, corner_levels)
+        return {tuple(sorted(v)): (w, y) for b in quad.batches
+                for v, w, y in zip(b.cell_pressure, b.weights,
+                                   b.exact["velocity"]) if 0 in v}
+
+    cells = [corner_cells(m) for m in (mesh, relabelled(mesh, seed))]
+    assert cells[1].keys() == cells[0].keys()
+    for key, (weights, velocity) in cells[0].items():
+        np.testing.assert_allclose(cells[1][key][0], weights, rtol=1e-13)
+        np.testing.assert_allclose(cells[1][key][1], velocity, rtol=1e-13)
 
 
 def nodal_interpolant(sol, mesh, dm):
@@ -228,10 +239,10 @@ def test_error_norms_vanish_on_reproduced_members(domain, level, member,
     dm = build_dofmap(mesh, pairing_from_name(pairing))
     sol = SingularSolution(alpha, mesh.polygon.corner_angle)
     y_h = nodal_interpolant(sol, mesh, dm)
-    quad = ErrorQuadrature(mesh, dm, quad_degree, corner_levels)
+    quad = ErrorQuadrature(mesh, dm, sol, quad_degree, corner_levels)
     for norm in (l2_velocity_error, h1_seminorm_velocity_error,
                  l2_pressure_error):
-        assert norm(y_h, sol, quad) <= 1e-12
+        assert norm(y_h, quad) <= 1e-12
 
 
 def random_system(domain, level, pairing, seed, alpha_reg=1.0):
