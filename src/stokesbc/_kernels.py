@@ -28,8 +28,8 @@ def local_matrices(tri_xy, grad_v, vals_p, qw):
     ----------
     tri_xy : (nt, 3, 2) vertex coordinates
     grad_v : (nq, nl, 2) reference gradients of the velocity basis, shared
-        by all elements, or (nt, nq, nl, 2)
-    vals_p : (nq, 3) values of the pressure basis, or (nt, nq, 3)
+        by all elements
+    vals_p : (nq, 3) values of the pressure basis, shared by all elements
     qw : (nq,) reference quadrature weights
 
     Returns
@@ -41,12 +41,12 @@ def local_matrices(tri_xy, grad_v, vals_p, qw):
     detj, invjt = affine_jacobians(tri_xy)
     # physical gradients g[t, j, q, d], one row of nq * 2 entries per basis
     # function, so the stiffness is one (nl, 2 nq) x (2 nq, nl) product
-    g = np.swapaxes(grad_v, -2, -3) @ np.swapaxes(invjt, 1, 2)[:, None]
+    g = np.swapaxes(grad_v, 0, 1) @ np.swapaxes(invjt, 1, 2)[:, None]
     rows = g.reshape(g.shape[:2] + (-1,))
     kloc = (rows * np.repeat(qw, 2)) @ np.swapaxes(rows, 1, 2)
     kloc *= detj[:, None, None]
-    wp = np.swapaxes(qw[:, None] * vals_p, -1, -2)  # (..., 3, nq)
-    dloc = wp[..., None, :, :] @ np.transpose(g, (0, 3, 2, 1))
+    wp = (qw[:, None] * vals_p).T  # (3, nq)
+    dloc = wp @ np.transpose(g, (0, 3, 2, 1))
     dloc *= detj[:, None, None, None]
     return kloc, dloc, detj
 
@@ -55,7 +55,7 @@ def l2_accumulate(coef, vals_v, wdet, exact):
     """Sum of w * |y_h - y|^2 over cells and quadrature points.
 
     coef : (nc, nl, 2) velocity coefficients per cell
-    vals_v : (nq, nl) basis values shared by all cells, or (nc, nq, nl)
+    vals_v : (nq, nl) basis values shared by all cells
     wdet : (nc, nq) physical weights (reference weight x detJ)
     exact : (nc, nq, 2) exact values at the mapped points
     """
@@ -67,16 +67,16 @@ def l2_accumulate(coef, vals_v, wdet, exact):
 def h1_accumulate(coef, grad_v, invjt, wdet, exact_grad):
     """Sum of w * |grad y_h - grad y|_F^2 over cells and quadrature points.
 
-    grad_v : (nq, nl, 2) reference gradients shared by all cells, or
-    (nc, nq, nl, 2); invjt : (nc, 2, 2);
+    grad_v : (nq, nl, 2) reference gradients shared by all cells;
+    invjt : (nc, 2, 2);
     exact_grad : (nc, nq, 2, 2) with entries d y_c / d x_d.
 
     The coefficients are contracted with the reference gradients before the
     map to physical gradients, so no (nc, nq, nl, 2) array is formed.
     """
     nc = len(coef)
-    table = np.swapaxes(grad_v, -2, -3)              # (..., nl, nq, 2)
-    table = table.reshape(table.shape[:-2] + (-1,))
+    table = np.swapaxes(grad_v, 0, 1)                # (nl, nq, 2)
+    table = table.reshape(len(table), -1)
     gref = np.swapaxes(coef, 1, 2) @ table           # [n, c, (q, e)]
     diff = gref.reshape(nc, -1, 2) @ np.swapaxes(invjt, 1, 2)
     diff = diff.reshape(nc, 2, -1, 2)                # [n, c, q, d]

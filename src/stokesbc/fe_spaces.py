@@ -203,15 +203,18 @@ class DofMap:
         self.n_edges = len(mesh.edges)
         a = mesh.boundary_edges[:, 0]
 
+        nt = mesh.n_triangles
+        cell = self.cell_velocity = np.empty(
+            (nt, 6 if pairing.kind == "taylor_hood" else 4), dtype=np.int64)
+        cell[:, :3] = tris
         if pairing.kind == "taylor_hood":
             self.n_scalar_velocity = nv + self.n_edges
-            self.cell_velocity = np.hstack([tris, nv + mesh.triangle_edges])
+            np.add(mesh.triangle_edges, nv, out=cell[:, 3:])
             m = nv + mesh.boundary_edge_ids
             self.boundary_dofs = np.column_stack([a, m]).ravel()
         else:
-            self.n_scalar_velocity = nv + mesh.n_triangles
-            bubble = nv + np.arange(mesh.n_triangles)[:, None]
-            self.cell_velocity = np.hstack([tris, bubble])
+            self.n_scalar_velocity = nv + nt
+            cell[:, 3] = np.arange(nv, nv + nt)
             self.boundary_dofs = a.copy()
         # the boundary chain's edge e ends where edge e + 1 starts
         k = pairing.velocity_order

@@ -117,7 +117,8 @@ class Mesh:
     boundary_parent : (nbe,) int array
         Index of the polygon edge each boundary edge lies on.
     edges : (ne, 2) int array
-        Every edge once as a vertex pair (low, high), in lexicographic order.
+        Every edge once as a vertex pair (low, high), in lexicographic order:
+        found by one sort, or carried over from the parent by refinement.
     triangle_edges : (nt, 3) int array
         Edge id of each triangle's local edge k, which joins local vertices
         k and k+1 (mod 3).
@@ -128,18 +129,18 @@ class Mesh:
     """
 
     def __init__(self, polygon, vertices, triangles, boundary_edges,
-                 boundary_parent):
+                 boundary_parent, *, _numbering=None):
         self.polygon = polygon
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
         self.boundary_parent = np.ascontiguousarray(boundary_parent, dtype=np.int64)
         self.boundary_normals = polygon.edge_normals[self.boundary_parent]
-        nv = self.n_vertices
-        keys, self.triangle_edges = _number_edges(self.triangles, nv)
-        self.edges = np.column_stack(np.divmod(keys, nv))
-        self.boundary_edge_ids = np.searchsorted(
-            keys, _edge_key(*self.boundary_edges.T, nv))
+        # refine_uniform passes the numbering it carried over from the parent
+        if _numbering is None:
+            _numbering = _number_edges(self.triangles, self.boundary_edges,
+                                       self.n_vertices)
+        self.edges, self.triangle_edges, self.boundary_edge_ids = _numbering
         # after the edge numbering, whose sort sets the construction's peak
         # memory, so that the stored areas do not add to it
         self._areas = _triangle_areas(self.vertices, self.triangles)
@@ -179,9 +180,10 @@ class Mesh:
 
     @property
     def h(self) -> float:
-        p = self.vertices[self.triangles]
-        d = [np.hypot(*(p[:, i] - p[:, j]).T) for i, j in ((0, 1), (1, 2), (2, 0))]
-        return float(np.max(d))
+        x, y = self.vertices.T
+        a, b, c = self.triangles.T
+        return float(max(np.max(np.hypot(x[i] - x[j], y[i] - y[j]))
+                         for i, j in ((a, b), (b, c), (c, a))))
 
     def triangle_areas(self) -> np.ndarray:
         """Signed area of each triangle (read-only, computed once)."""
@@ -202,8 +204,9 @@ def _triangle_areas(vertices, triangles):
     (nt, 3, 2) gather of the corners costs twice the time."""
     x, y = vertices.T
     a, b, c = triangles.T
-    ux, uy = x[b] - x[a], y[b] - y[a]
-    vx, vy = x[c] - x[a], y[c] - y[a]
+    xa, ya = x[a], y[a]
+    ux, uy = x[b] - xa, y[b] - ya
+    vx, vy = x[c] - xa, y[c] - ya
     return 0.5 * (ux * vy - uy * vx)
 
 
@@ -215,11 +218,13 @@ def _edge_key(a, b, n_vertices):
     return np.minimum(a, b) * n_vertices + np.maximum(a, b)
 
 
-def _number_edges(triangles, n_vertices):
-    """Sorted unique edge keys and the (nt, 3) edge id of each local edge."""
+def _number_edges(triangles, boundary_edges, n_vertices):
+    """Edges, triangle edges and boundary edge ids by one sort of all edges."""
     keys = _edge_key(triangles, np.roll(triangles, -1, axis=1), n_vertices)
     unique, inverse = np.unique(keys.ravel(), return_inverse=True)
-    return unique, inverse.reshape(triangles.shape)
+    return (np.column_stack(np.divmod(unique, n_vertices)),
+            inverse.reshape(triangles.shape),
+            np.searchsorted(unique, _edge_key(*boundary_edges.T, n_vertices)))
 
 
 def _coarse_mesh(vertices, corners, triangles):
@@ -273,25 +278,69 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     New vertices are the edge midpoints; ``h`` halves exactly and every
     boundary edge splits into two children that inherit the parent polygon
     edge (and hence its normal).  Old vertices keep their numbers, so vertex
-    0 stays the origin and the boundary chain still starts there.
+    0 stays the origin and the boundary chain still starts there.  The edge
+    numbering is carried over from the parent's (:func:`_carried_numbering`)
+    and keeps its lexicographic order.
     """
     nv = mesh.n_vertices
     edges = mesh.edges
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.vstack([mesh.vertices, midpoints])
-
-    v0, v1, v2 = mesh.triangles.T
-    m01, m12, m20 = (nv + mesh.triangle_edges).T
-    children = np.concatenate([
-        np.column_stack([v0, m01, m20]),
-        np.column_stack([m01, v1, m12]),
-        np.column_stack([m20, m12, v2]),
-        np.column_stack([m01, m12, m20]),
-    ])
+    mid = nv + mesh.triangle_edges  # the midpoint of each local edge
+    children = _red_children(mesh.triangles, mid, np.roll(mid, 1, axis=1),
+                             mid)
 
     # split boundary edges in traversal order so the chain stays closed
     a, b = mesh.boundary_edges.T
     m = nv + mesh.boundary_edge_ids
     bnd = np.column_stack([a, m, m, b]).reshape(-1, 2)
     return Mesh(mesh.polygon, vertices, children, bnd,
-                np.repeat(mesh.boundary_parent, 2))
+                np.repeat(mesh.boundary_parent, 2),
+                _numbering=_carried_numbering(mesh, mid))
+
+
+def _red_children(corner, after, before, middle):
+    """(4 nt, 3) array of the four children of each of nt triangles: child
+    i < 3 holds ``corner[:, i]`` at local position i, ``after[:, i]`` at
+    i + 1 and ``before[:, i]`` at i - 1; child 3 holds ``middle``."""
+    out = np.empty((4,) + middle.shape, dtype=np.int64)
+    for i in range(3):
+        out[i, :, i] = corner[:, i]
+        out[i, :, (i + 1) % 3] = after[:, i]
+        out[i, :, i - 1] = before[:, i]
+    out[3] = middle
+    return out.reshape(-1, 3)
+
+
+def _carried_numbering(mesh, mid):
+    """``(edges, triangle_edges, boundary_edge_ids)`` of the refined mesh by
+    one argsort of its 2 ne + 3 nt edges, the halves of the parent edges and
+    those between each parent triangle's midpoints ``mid``."""
+    nv, nt, ne = mesh.n_vertices, mesh.n_triangles, len(mesh.edges)
+    # ids before the sort: 2 e and 2 e + 1 for the halves of parent edge
+    # e = (a, b) at a and at b, then 2 ne + 3 t + k for the edge of parent
+    # triangle t from midpoint k to midpoint k + 1
+    mid_next = np.roll(mid, -1, axis=1)
+    low = np.concatenate([mesh.edges.ravel(),
+                          np.minimum(mid, mid_next).ravel()])
+    high = np.concatenate([np.repeat(np.arange(nv, nv + ne), 2),
+                           np.maximum(mid, mid_next).ravel()])
+    order = np.argsort(low * (nv + ne) + high)
+    edges = np.column_stack([low[order], high[order]])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    del low, high, order  # held through the fill, they set the peak memory
+
+    # parent local edge k runs from vertex k, its high end when vertex k >
+    # vertex k + 1; child local edge j runs from child vertex j to j + 1
+    down = mesh.triangles > np.roll(mesh.triangles, -1, axis=1)
+    start = rank[2 * mesh.triangle_edges + down]
+    end = rank[2 * mesh.triangle_edges + ~down]
+    inner = rank[2 * ne:].reshape(nt, 3)
+    triangle_edges = _red_children(start, np.roll(inner, 1, axis=1),
+                                   np.roll(end, 1, axis=1), inner)
+    # boundary edge (p, q) splits into its halves at p and at q
+    down = np.greater(*mesh.boundary_edges.T)
+    e = 2 * mesh.boundary_edge_ids
+    return (edges, triangle_edges,
+            rank[np.column_stack([e + down, e + ~down]).ravel()])

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from stokesbc import mesh as mesh_module
 from stokesbc._kernels import affine_jacobians
 from stokesbc.mesh import (Mesh, Polygon, build_domain, refine_uniform,
                            unit_square)
@@ -163,6 +164,21 @@ def test_geometry_is_computed_once_and_read_only(name, level):
         assert not got.flags.writeable
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+    # the edge numbering from its definition: every edge once as (low,
+    # high), in lexicographic order
+    tris = mesh.triangles.tolist()
+    local = [tuple(sorted((t[k], t[(k + 1) % 3]))) for t in tris
+             for k in range(3)]
+    edges = sorted(set(local))
+    ids = {e: i for i, e in enumerate(edges)}
+    bnd = [ids[tuple(sorted(e))] for e in mesh.boundary_edges.tolist()]
+    for got, want in ((mesh.edges, edges),
+                      (mesh.triangle_edges,
+                       np.reshape([ids[e] for e in local], (-1, 3))),
+                      (mesh.boundary_edge_ids, bnd)):
+        assert not got.flags.writeable
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("level", range(7))
@@ -184,6 +200,17 @@ def test_refine_counts(domain):
     assert fine.n_triangles == 4 * domain.n_triangles
     assert fine.n_boundary_edges == 2 * domain.n_boundary_edges
     assert fine.h == pytest.approx(domain.h / 2, rel=1e-15)
+
+
+def test_refinement_carries_the_edge_numbering_forward(domain, monkeypatch):
+    mesh = refine_uniform(domain)
+
+    def number_edges(*args):
+        raise AssertionError("refine_uniform numbered the edges by a sort")
+
+    monkeypatch.setattr(mesh_module, "_number_edges", number_edges)
+    fine = refine_uniform(refine_uniform(mesh))
+    assert fine.n_triangles == 64 * domain.n_triangles
 
 
 def test_refine_twice_topology(domain):
