@@ -60,7 +60,7 @@ class ConvergenceRecord:
     # from the level's LinearSolveReport; the residual is the absolute 2-norm
     solver_iterations: int | None = None
     solver_residual: float | None = None
-    solver_factor_nnz: int | None = None
+    solver_factor_nnz: int | None = None  # LU entries of K alone
 
 
 @dataclass(frozen=True)

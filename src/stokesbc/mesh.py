@@ -18,6 +18,7 @@ threads.  Refinement always produces a new mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -125,7 +126,7 @@ class Mesh:
     boundary_edge_ids : (nbe,) int array
         Edge id of each boundary edge.
     h : float
-        Maximum triangle diameter.
+        Maximum triangle diameter, the longest edge (computed on first read).
     """
 
     def __init__(self, polygon, vertices, triangles, boundary_edges,
@@ -178,12 +179,10 @@ class Mesh:
     def n_boundary_edges(self) -> int:
         return self.boundary_edges.shape[0]
 
-    @property
+    @cached_property
     def h(self) -> float:
-        x, y = self.vertices.T
-        a, b, c = self.triangles.T
-        return float(max(np.max(np.hypot(x[i] - x[j], y[i] - y[j]))
-                         for i, j in ((a, b), (b, c), (c, a))))
+        p = self.vertices[self.edges]
+        return float(np.hypot(*(p[:, 1] - p[:, 0]).T).max())
 
     def triangle_areas(self) -> np.ndarray:
         """Signed area of each triangle (read-only, computed once)."""

@@ -164,6 +164,14 @@ def test_geometry_is_computed_once_and_read_only(name, level):
         assert not got.flags.writeable
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+    # h, the largest triangle edge, is computed on the first read only
+    x, y = mesh.vertices.T
+    a, b, c = mesh.triangles.T
+    h = max(np.max(np.hypot(x[i] - x[j], y[i] - y[j]))
+            for i, j in ((a, b), (b, c), (c, a)))
+    assert "h" not in vars(mesh)
+    assert mesh.h is mesh.h
+    assert mesh.h == h
     # the edge numbering from its definition: every edge once as (low,
     # high), in lexicographic order
     tris = mesh.triangles.tolist()

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stokesbc import _kernels
+from stokesbc import _kernels, solver
 from stokesbc.assembly import (DiscreteSolution, assemble_bordered_system,
                                assemble_divergence, boundary_flux)
 from stokesbc.boundary_data import (BoundaryDatum, BoundaryTrace,
@@ -307,6 +307,31 @@ def test_pressure_mass_is_symmetric_with_rows_summing_to_s(domain, level,
     assert abs(mass - mass.T).max() == 0.0
     rows = np.asarray(mass.sum(axis=1)).ravel()
     assert np.abs(rows - system.s).max() <= 1e-15 * np.abs(system.s).max()
+
+
+@PROPERTY
+@given(name=st.sampled_from(["convex", "nonconvex", "unit_square"]),
+       level=st.integers(1, 3))
+def test_mass_chebyshev_is_a_symmetric_near_inverse(name, level):
+    # D^{-1} M_p spans [1/2, 2] and reaches 2 on the constants, so the
+    # Chebyshev bound 1/T_5(5/3) on |P M_p - I| is attained
+    mesh = unit_square() if name == "unit_square" else build_domain(name)
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    # the P1 pressure and its mass are the same for both pairings
+    dm = build_dofmap(mesh, pairing_from_name("mini"))
+    system = assemble_bordered_system(mesh, dm,
+                                      np.zeros((dm.n_boundary_dofs, 2)))
+    mass, s = system.pressure_mass, system.s
+    P = np.column_stack([solver._mass_chebyshev(mass, s, e)
+                         for e in np.eye(len(s))])
+    assert np.abs(P - P.T).max() <= 1e-12 * np.abs(P).max()
+    # the eigenvalues of P M_p are those of L^T P L, M_p = L L^T
+    lower = np.linalg.cholesky(mass.toarray())
+    spread = np.abs(np.linalg.eigvalsh(lower.T @ P @ lower) - 1.0)
+    bound = 1.0 / np.cosh(solver.MASS_STEPS * np.arccosh(5 / 3))
+    assert spread.max() <= bound + 1e-12
+    assert spread.max() >= bound - 1e-12
 
 
 @PROPERTY

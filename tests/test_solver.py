@@ -160,8 +160,38 @@ def test_report_counts_factor_fill():
     system = stokes_system()
     # SuperLU drops no entry, so the factors hold at least the matrix's
     _, schur = solve(system)
-    blocks = (system.K, system.pressure_mass)
-    assert schur.factor_nnz >= sum(b.nnz for b in blocks)
+    assert schur.factor_nnz >= system.K.nnz
+
+
+def test_solve_factorises_k_once(monkeypatch):
+    factors = []
+    splu = spla.splu
+
+    def counted(matrix, *args, **kwargs):
+        factors.append((matrix, splu(matrix, *args, **kwargs)))
+        return factors[-1][1]
+
+    monkeypatch.setattr(spla, "splu", counted)
+    for calls, pairing in enumerate((TAYLOR_HOOD, MINI), start=1):
+        system = stokes_system(pairing)
+        _, report = solve(system)
+        assert len(factors) == calls
+        matrix, lu = factors[-1]
+        assert matrix is system.K
+        assert report.factor_nnz == lu.nnz
+
+
+def test_non_finite_rhs_skips_cg(monkeypatch):
+    # CG would spend its whole iteration cap, a K solve each, on a NaN
+    system = stokes_system()
+    system.rhs_g[0] = np.nan
+
+    def no_cg(*args, **kwargs):
+        pytest.fail("solve ran CG on a non-finite right-hand side")
+
+    monkeypatch.setattr(spla, "cg", no_cg)
+    with pytest.raises(SolveError, match="non-finite"):
+        solve(system)
 
 
 def test_solve_builds_no_bordered_matrix(monkeypatch):
