@@ -1,32 +1,20 @@
 """Hot inner loops: local matrix computation and error accumulation.
 
-Vectorized numpy kernels over all elements (or cells) at once.
+Vectorized numpy kernels over all elements (or cells) at once.  The element
+maps come in as the mesh's ``detj = 2 * Mesh.areas`` and
+``invjt = Mesh.inverse_jacobians``.
 """
 
 import numpy as np
 
 
-def affine_jacobians(tri_xy):
-    """Determinants (nt,) and inverse transposes (nt, 2, 2) of the maps from
-    the reference triangle onto the triangles with vertices ``tri_xy``."""
-    j = np.stack([tri_xy[:, 1] - tri_xy[:, 0],
-                  tri_xy[:, 2] - tri_xy[:, 0]], axis=2)
-    detj = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
-    invjt = np.empty_like(j)
-    invjt[:, 0, 0] = j[:, 1, 1]
-    invjt[:, 0, 1] = -j[:, 1, 0]
-    invjt[:, 1, 0] = -j[:, 0, 1]
-    invjt[:, 1, 1] = j[:, 0, 0]
-    invjt /= detj[:, None, None]
-    return detj, invjt
-
-
-def local_matrices(tri_xy, grad_v, vals_p, qw):
+def local_matrices(detj, invjt, grad_v, vals_p, qw):
     """Local stiffness and divergence blocks for every element.
 
     Parameters
     ----------
-    tri_xy : (nt, 3, 2) vertex coordinates
+    detj : (nt,) Jacobian determinants (= 2 x area)
+    invjt : (nt, 2, 2) inverse-transpose Jacobians
     grad_v : (nq, nl, 2) reference gradients of the velocity basis, shared
         by all elements
     vals_p : (nq, 3) values of the pressure basis, shared by all elements
@@ -36,9 +24,7 @@ def local_matrices(tri_xy, grad_v, vals_p, qw):
     -------
     kloc : (nt, nl, nl) with entries int grad(phi_i) . grad(phi_j)
     dloc : (nt, 2, 3, nl) with entries int q_i * d_c phi_j
-    detj : (nt,) Jacobian determinants (= 2 x area)
     """
-    detj, invjt = affine_jacobians(tri_xy)
     # physical gradients g[t, j, q, d], one row of nq * 2 entries per basis
     # function, so the stiffness is one (nl, 2 nq) x (2 nq, nl) product
     g = np.swapaxes(grad_v, 0, 1) @ np.swapaxes(invjt, 1, 2)[:, None]
@@ -48,7 +34,7 @@ def local_matrices(tri_xy, grad_v, vals_p, qw):
     wp = (qw[:, None] * vals_p).T  # (3, nq)
     dloc = wp @ np.transpose(g, (0, 3, 2, 1))
     dloc *= detj[:, None, None, None]
-    return kloc, dloc, detj
+    return kloc, dloc
 
 
 def l2_accumulate(coef, vals_v, wdet, exact):

@@ -47,12 +47,9 @@ ASSEMBLY_QUAD_DEGREE = 4
 def _local_blocks(mesh: Mesh, dofmap: DofMap):
     rule = quadrature(ASSEMBLY_QUAD_DEGREE)
     _, grads_v = _tabulate(dofmap.pairing, rule.points)
-    tri_xy = mesh.vertices[mesh.triangles]
     # the P1 pressure basis values are the barycentric points
-    kloc, dloc, _ = _kernels.local_matrices(
-        np.ascontiguousarray(tri_xy), np.ascontiguousarray(grads_v),
-        rule.points, rule.weights)
-    return kloc, dloc
+    return _kernels.local_matrices(2 * mesh.areas, mesh.inverse_jacobians,
+                                   grads_v, rule.points, rule.weights)
 
 
 def assemble_divergence(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
@@ -113,13 +110,13 @@ def assemble_boundary_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     local = EDGE_TRACE_GRAM[dofmap.pairing.kind]
     pos = dofmap.boundary_edge_positions
     nbd = dofmap.n_boundary_dofs
-    return _scatter(mesh.boundary_edge_lengths()[:, None, None] * local,
+    return _scatter(mesh.boundary_lengths[:, None, None] * local,
                     pos, pos, (nbd, nbd))
 
 
 def edge_integrals(f: np.ndarray, mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     """Exact moments <f, phi_i> (nbd, c) of ``f`` (nbe, c), constant per edge."""
-    weights = np.outer(mesh.boundary_edge_lengths(),
+    weights = np.outer(mesh.boundary_lengths,
                        EDGE_TRACE_GRAM[dofmap.pairing.kind].sum(axis=1))
     pos = dofmap.boundary_edge_positions.ravel()
     return np.column_stack([np.bincount(pos, (weights * fc[:, None]).ravel(),
@@ -127,21 +124,31 @@ def edge_integrals(f: np.ndarray, mesh: Mesh, dofmap: DofMap) -> np.ndarray:
                             for fc in f.T])
 
 
-def boundary_flux(trace: np.ndarray, mesh: Mesh, dofmap: DofMap) -> float:
-    """Exact boundary integral <v_h, n> of a trace coefficient array.
+def _trace_coefficients(u_h, dofmap: DofMap) -> np.ndarray:
+    """Coefficients of the trace ``u_h``, a ``BoundaryTrace`` or an array,
+    checked to be (n_boundary_dofs, 2) in ``boundary_dofs`` order."""
+    trace = np.asarray(getattr(u_h, "coefficients", u_h))
+    if trace.shape != (dofmap.n_boundary_dofs, 2):
+        raise ValueError(
+            f"trace shape {trace.shape} does not match the boundary space "
+            f"({dofmap.n_boundary_dofs}, 2)")
+    return trace
 
-    ``trace`` has shape (n_boundary_dofs, 2) in ``boundary_dofs`` order; the
-    normal is constant per edge, so the flux pairs the coefficients with the
-    moments <n, phi_i> of :func:`edge_integrals`.
+
+def boundary_flux(u_h, mesh: Mesh, dofmap: DofMap) -> float:
+    """Exact boundary integral <u_h, n> of a trace or its coefficients.
+
+    The normal is constant per edge, so the flux pairs the coefficients with
+    the moments <n, phi_i> of :func:`edge_integrals`.
     """
+    trace = _trace_coefficients(u_h, dofmap)
     moments = edge_integrals(mesh.boundary_normals, mesh, dofmap)
     return float((trace * moments).sum())
 
 
 def compute_delta_h(u_h, mesh: Mesh, dofmap: DofMap) -> float:
     """Divergence defect delta_h = <u_h, n> / |Omega| by exact edge integration."""
-    trace = u_h.coefficients if hasattr(u_h, "coefficients") else np.asarray(u_h)
-    return boundary_flux(trace, mesh, dofmap) / mesh.polygon.area
+    return boundary_flux(u_h, mesh, dofmap) / mesh.polygon.area
 
 
 @dataclass
@@ -182,7 +189,7 @@ class BorderedSystem:
         cells = self.dofmap.cell_pressure
         local = (np.ones((3, 3)) + np.eye(3)) / 12.0
         n = self.dofmap.n_pressure
-        return _scatter(self.mesh.triangle_areas()[:, None, None] * local,
+        return _scatter(self.mesh.areas[:, None, None] * local,
                         cells, cells, (n, n)).tocsc()
 
     def matrix(self) -> sp.csr_matrix:
@@ -239,11 +246,7 @@ def assemble_bordered_system(mesh: Mesh, dofmap: DofMap, u_h,
     system with singular upper-left block; both variants have the same
     solution.
     """
-    trace = u_h.coefficients if hasattr(u_h, "coefficients") else np.asarray(u_h)
-    if trace.shape != (dofmap.n_boundary_dofs, 2):
-        raise ValueError(
-            f"trace shape {trace.shape} does not match the boundary space "
-            f"({dofmap.n_boundary_dofs}, 2)")
+    trace = _trace_coefficients(u_h, dofmap)
     if alpha_reg < 0:
         raise ValueError("alpha_reg must be >= 0")
 
@@ -271,5 +274,5 @@ def assemble_bordered_system(mesh: Mesh, dofmap: DofMap, u_h,
 def _pressure_integrals(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     """Vector s with s_i = int q_i; for nodal P1, area/3 per incident cell."""
     return np.bincount(dofmap.cell_pressure.ravel(),
-                       np.repeat(mesh.triangle_areas() / 3.0, 3),
+                       np.repeat(mesh.areas / 3.0, 3),
                        minlength=dofmap.n_pressure)

@@ -24,7 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_boundary_mass, boundary_flux, edge_integrals
+from .assembly import (_trace_coefficients, assemble_boundary_mass,
+                       boundary_flux, edge_integrals)
 from .fe_spaces import DofMap, edge_trace_nodes, edge_trace_values
 from .manufactured import SingularSolution, eval_velocity, velocity_from_polar
 from .mesh import Mesh
@@ -127,8 +128,7 @@ def _boundary_rule(mesh: Mesh, datum: BoundaryDatum):
     the corner singularity of the study data and cost a smooth datum only
     extra points.  Every segment gets ``GAUSS_POINTS`` points.
     """
-    lengths = mesh.boundary_edge_lengths()
-    offsets = mesh.boundary_edge_offsets()
+    lengths, offsets = mesh.boundary_lengths, mesh.boundary_offsets
     parents = mesh.boundary_parent
     every = np.arange(mesh.n_boundary_edges)
     # cuts as (boundary edge, arclength from the edge start)
@@ -163,8 +163,7 @@ def _datum_values(datum: BoundaryDatum, mesh: Mesh, edge, t):
     edges in order, so that is once per polygon edge.
     """
     parent = mesh.boundary_parent[edge]
-    s = (mesh.boundary_edge_offsets()[edge]
-         + t * mesh.boundary_edge_lengths()[edge])
+    s = mesh.boundary_offsets[edge] + t * mesh.boundary_lengths[edge]
     vals = np.empty((len(t), 2))
     cuts = [0, *(np.flatnonzero(np.diff(parent)) + 1), len(t)]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -230,8 +229,7 @@ def interpolate_lagrange(u: BoundaryDatum, mesh: Mesh,
     params = edge_trace_nodes(dofmap.pairing)
     edge = np.repeat(np.arange(mesh.n_boundary_edges), len(params))
     t = np.tile(params, mesh.n_boundary_edges)
-    s = (mesh.boundary_edge_offsets()[edge]
-         + t * mesh.boundary_edge_lengths()[edge])
+    s = mesh.boundary_offsets[edge] + t * mesh.boundary_lengths[edge]
     for je, js in u.jumps:
         if np.any((mesh.boundary_parent[edge] == je)
                   & (np.abs(s - js) < 1e-12)):
@@ -254,8 +252,9 @@ def enforce_compatibility(u_h: BoundaryTrace,
     """
     if abs(corrector.flux) < 1e-14:
         raise ValueError("corrector flux too small; correction is ill-posed")
-    lam = boundary_flux(u_h.coefficients, mesh, dofmap) / corrector.flux
-    return BoundaryTrace(u_h.coefficients - lam * corrector.w_h.coefficients)
+    coef = _trace_coefficients(u_h, dofmap)
+    lam = boundary_flux(coef, mesh, dofmap) / corrector.flux
+    return BoundaryTrace(coef - lam * corrector.w_h.coefficients)
 
 
 def build_corrector(kind: str, mesh: Mesh,
@@ -276,7 +275,7 @@ def build_corrector(kind: str, mesh: Mesh,
             edge_integrals(mesh.boundary_normals, mesh, dofmap), mesh, dofmap)
     else:
         raise ValueError(f"unknown corrector kind {kind!r}")
-    flux = boundary_flux(trace.coefficients, mesh, dofmap)
+    flux = boundary_flux(trace, mesh, dofmap)
     if flux == 0.0:
         raise ValueError("corrector has zero flux")
     return CompatibilityCorrector(w_h=trace, flux=flux)
@@ -292,8 +291,9 @@ def datum_flux(u: BoundaryDatum, mesh: Mesh) -> float:
 def trace_l2_distance(u: BoundaryDatum, u_h: BoundaryTrace, mesh: Mesh,
                       dofmap: DofMap) -> float:
     """L2(boundary) distance between a datum and a discrete trace."""
+    coef = _trace_coefficients(u_h, dofmap)
     edge, t, w = _boundary_rule(mesh, u)
     approx = np.einsum("gi,gic->gc", edge_trace_values(dofmap.pairing, t),
-                       u_h.coefficients[dofmap.boundary_edge_positions[edge]])
+                       coef[dofmap.boundary_edge_positions[edge]])
     diff = _datum_values(u, mesh, edge, t) - approx
     return float(np.sqrt(w @ (diff * diff).sum(axis=1)))

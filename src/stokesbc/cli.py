@@ -208,8 +208,8 @@ def run_counterexample() -> CounterexampleReport:
     u_ca = interpolate_carstensen(datum, mesh, dofmap)
     return CounterexampleReport(
         flux_exact=datum_flux(datum, mesh),
-        flux_l2=boundary_flux(u_l2.coefficients, mesh, dofmap),
-        flux_carstensen=boundary_flux(u_ca.coefficients, mesh, dofmap))
+        flux_l2=boundary_flux(u_l2, mesh, dofmap),
+        flux_carstensen=boundary_flux(u_ca, mesh, dofmap))
 
 
 def _columns(records: list[ConvergenceRecord], fmt: str):

@@ -127,8 +127,7 @@ class ErrorQuadrature:
                  corner_levels: int = DEFAULT_CORNER_LEVELS):
         self.mesh, self.sol = mesh, sol
         rule = quadrature(quad_degree)
-        detj, invjt = _kernels.affine_jacobians(
-            mesh.vertices[mesh.triangles])
+        detj, invjt = 2 * mesh.areas, mesh.inverse_jacobians
 
         def batch(cells, bary, ratio):
             # points layer-major; weight (detj * layer area ratio) * rule weight

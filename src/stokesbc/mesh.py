@@ -125,6 +125,13 @@ class Mesh:
         k and k+1 (mod 3).
     boundary_edge_ids : (nbe,) int array
         Edge id of each boundary edge.
+    areas : (nt,) float array
+        Triangle areas, half the determinants of the affine element maps.
+    boundary_lengths, boundary_offsets : (nbe,) float arrays
+        Length of each boundary edge, and arclength of its start within its
+        parent polygon edge.
+    inverse_jacobians : (nt, 2, 2) float array
+        Inverse transposes of the element maps (computed on first read).
     h : float
         Maximum triangle diameter, the longest edge (computed on first read).
     """
@@ -144,20 +151,21 @@ class Mesh:
         self.edges, self.triangle_edges, self.boundary_edge_ids = _numbering
         # after the edge numbering, whose sort sets the construction's peak
         # memory, so that the stored areas do not add to it
-        self._areas = _triangle_areas(self.vertices, self.triangles)
+        ux, uy, vx, vy = _spans(self.vertices, self.triangles)
+        self.areas = 0.5 * (ux * vy - uy * vx)
         self._validate()
         p = self.vertices[self.boundary_edges]
-        self._lengths = np.hypot(*(p[:, 1] - p[:, 0]).T)
-        self._offsets = np.hypot(
+        self.boundary_lengths = np.hypot(*(p[:, 1] - p[:, 0]).T)
+        self.boundary_offsets = np.hypot(
             *(p[:, 0] - polygon.vertices[self.boundary_parent]).T)
         for array in (self.vertices, self.triangles, self.boundary_edges,
                       self.boundary_parent, self.boundary_normals, self.edges,
-                      self.triangle_edges, self.boundary_edge_ids,
-                      self._areas, self._lengths, self._offsets):
+                      self.triangle_edges, self.boundary_edge_ids, self.areas,
+                      self.boundary_lengths, self.boundary_offsets):
             array.setflags(write=False)
 
     def _validate(self):
-        if np.any(self._areas <= 0):
+        if np.any(self.areas <= 0):
             raise ValueError("mesh contains a non-positively oriented triangle")
         start = self.boundary_edges[:, 0]
         end = self.boundary_edges[:, 1]
@@ -184,29 +192,25 @@ class Mesh:
         p = self.vertices[self.edges]
         return float(np.hypot(*(p[:, 1] - p[:, 0]).T).max())
 
-    def triangle_areas(self) -> np.ndarray:
-        """Signed area of each triangle (read-only, computed once)."""
-        return self._areas
-
-    def boundary_edge_lengths(self) -> np.ndarray:
-        """Length of each boundary edge (read-only, computed once)."""
-        return self._lengths
-
-    def boundary_edge_offsets(self) -> np.ndarray:
-        """Arclength of each boundary edge's start within its parent polygon
-        edge (read-only, computed once)."""
-        return self._offsets
+    @cached_property
+    def inverse_jacobians(self) -> np.ndarray:
+        # the map's Jacobian has columns (ux, uy) and (vx, vy) and
+        # determinant 2 * area
+        ux, uy, vx, vy = _spans(self.vertices, self.triangles)
+        invjt = np.stack([vy, -uy, -vx, ux], axis=1).reshape(-1, 2, 2)
+        invjt /= 2 * self.areas[:, None, None]
+        invjt.setflags(write=False)
+        return invjt
 
 
-def _triangle_areas(vertices, triangles):
-    """Signed triangle areas, gathered one coordinate at a time: a
-    (nt, 3, 2) gather of the corners costs twice the time."""
+def _spans(vertices, triangles):
+    """``(ux, uy, vx, vy)``: each triangle's vectors from its corner 0 to
+    corners 1 and 2, gathered one coordinate at a time; a (nt, 3, 2) gather
+    of the corners costs twice the time."""
     x, y = vertices.T
     a, b, c = triangles.T
     xa, ya = x[a], y[a]
-    ux, uy = x[b] - xa, y[b] - ya
-    vx, vy = x[c] - xa, y[c] - ya
-    return 0.5 * (ux * vy - uy * vx)
+    return x[b] - xa, y[b] - ya, x[c] - xa, y[c] - ya
 
 
 def _edge_key(a, b, n_vertices):

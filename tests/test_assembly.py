@@ -8,9 +8,13 @@ from stokesbc.assembly import (_divergence_matrix, _local_blocks,
                                assemble_boundary_mass, assemble_divergence,
                                boundary_flux, compute_delta_h,
                                edge_integrals)
-from stokesbc.boundary_data import BoundaryDatum, BoundaryTrace, _edge_moments
+from stokesbc.boundary_data import (BoundaryDatum, BoundaryTrace,
+                                    _edge_moments, build_corrector,
+                                    enforce_compatibility, trace_l2_distance,
+                                    trace_of_solution)
 from stokesbc.fe_spaces import (EDGE_TRACE_GRAM, MINI, TAYLOR_HOOD, _tabulate,
                                 build_dofmap, quadrature)
+from stokesbc.manufactured import SingularSolution
 from stokesbc.mesh import build_domain, refine_uniform, unit_square
 from stokesbc.solver import solve
 
@@ -43,13 +47,12 @@ def test_p1_reference_local_stiffness():
     tri = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
     rule = quadrature(4)
     _, grads = _tabulate(MINI, rule.points)
-    kloc, _, detj = local_matrices(tri, np.ascontiguousarray(grads),
-                                   rule.points, rule.weights)
+    kloc, _ = local_matrices(np.ones(1), np.eye(2)[None], grads,
+                             rule.points, rule.weights)
     expected = 0.5 * np.array([[2.0, -1.0, -1.0],
                                [-1.0, 1.0, 0.0],
                                [-1.0, 0.0, 1.0]])
     assert np.allclose(kloc[0, :3, :3], expected, atol=1e-14)
-    assert detj[0] == pytest.approx(1.0)
 
 
 def scalar_stiffness(mesh, dm):
@@ -88,7 +91,7 @@ def coo_reference_matrices(mesh, dm):
     pos = dm.boundary_edge_positions
     nbd = dm.n_boundary_dofs
     boundary = sp.coo_matrix(
-        ((mesh.boundary_edge_lengths()[:, None, None] * local).ravel(),
+        ((mesh.boundary_lengths[:, None, None] * local).ravel(),
          (np.repeat(pos, n1d, axis=1).ravel(),
           np.tile(pos, (1, n1d)).ravel())), shape=(nbd, nbd)).tocsr()
     boundary.sum_duplicates()
@@ -96,7 +99,7 @@ def coo_reference_matrices(mesh, dm):
 
     cells = dm.cell_pressure
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    vals = mesh.triangle_areas()[:, None, None] * local
+    vals = mesh.areas[:, None, None] * local
     n = dm.n_pressure
     pressure = sp.csc_matrix((vals.ravel(),
                               (np.repeat(cells, 3, axis=1).ravel(),
@@ -134,7 +137,7 @@ def edgewise_constant_datum(mesh, f):
     """Datum equal to ``f[e]`` on boundary edge ``e``."""
     def evaluate(edge, s):
         on = np.flatnonzero(mesh.boundary_parent == edge)
-        at = np.searchsorted(mesh.boundary_edge_offsets()[on], s,
+        at = np.searchsorted(mesh.boundary_offsets[on], s,
                              side="right") - 1
         return f[on[at]]
 
@@ -230,7 +233,7 @@ def test_boundary_mass_spd_row_sums(pairing, lshape_th):
     assert np.all(np.linalg.eigvalsh(M) > 0)
     # partition of unity: total mass equals the perimeter
     assert M.sum() == pytest.approx(
-        mesh.boundary_edge_lengths().sum(), rel=1e-13)
+        mesh.boundary_lengths.sum(), rel=1e-13)
 
 
 def test_delta_h_constant_field(lshape_th):
@@ -267,10 +270,35 @@ def test_system_matrix_symmetric(square_th):
     assert abs(M - M.T).max() < 1e-14
 
 
-def test_trace_shape_mismatch_rejected(square_th):
-    mesh, dm = square_th
-    with pytest.raises(ValueError):
-        assemble_bordered_system(mesh, dm, np.zeros((3, 2)))
+TRACE_ENTRY_POINTS = {
+    "boundary_flux": boundary_flux,
+    "compute_delta_h": compute_delta_h,
+    "assemble_bordered_system":
+        lambda u_h, mesh, dm: assemble_bordered_system(mesh, dm, u_h),
+    "enforce_compatibility": lambda u_h, mesh, dm: enforce_compatibility(
+        u_h, build_corrector("affine_field", mesh, dm), mesh, dm),
+    "trace_l2_distance": lambda u_h, mesh, dm: trace_l2_distance(
+        trace_of_solution(mesh.polygon, SingularSolution(
+            0.5, mesh.polygon.corner_angle)), u_h, mesh, dm),
+}
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["array", "trace"])
+@pytest.mark.parametrize("shape", [(1, 2), (2,), (17, 2)], ids=str)
+@pytest.mark.parametrize("entry", sorted(TRACE_ENTRY_POINTS))
+def test_trace_shape_mismatch_rejected(entry, shape, wrapped):
+    # numpy would broadcast a (1, 2) trace against the 16 boundary dofs of
+    # the level-1 L-shape with MINI
+    mesh = refine_uniform(build_domain("nonconvex"))
+    dm = build_dofmap(mesh, MINI)
+    assert dm.n_boundary_dofs == 16
+    u_h = np.ones(shape)
+    if wrapped:  # a BoundaryTrace whose coefficients were replaced
+        trace = BoundaryTrace(np.zeros((16, 2)))
+        trace.coefficients = u_h
+        u_h = trace
+    with pytest.raises(ValueError, match="does not match the boundary space"):
+        TRACE_ENTRY_POINTS[entry](u_h, mesh, dm)
 
 
 def test_pressure_integrals_sum_to_area(lshape_th):

@@ -58,8 +58,8 @@ def test_gauss_rule_is_read_only_unit_leggauss():
 def geometric_boundary_rule(mesh, datum):
     """The composite boundary rule with its corner edges found by geometry:
     the boundary edges whose arclength offsets put them at the origin."""
-    lengths = mesh.boundary_edge_lengths()
-    offsets = mesh.boundary_edge_offsets()
+    lengths = mesh.boundary_lengths
+    offsets = mesh.boundary_offsets
     parents = mesh.boundary_parent
     every = np.arange(mesh.n_boundary_edges)
     cut_edge, cut_at = [every, every], [np.zeros(len(every)), lengths]
@@ -105,8 +105,8 @@ def test_boundary_rule_matches_the_geometric_corner_search(name, level):
 def masked_datum_values(datum, mesh, edge, t):
     """The datum at rule points with one boolean mask per polygon edge."""
     parent = mesh.boundary_parent[edge]
-    s = (mesh.boundary_edge_offsets()[edge]
-         + t * mesh.boundary_edge_lengths()[edge])
+    s = (mesh.boundary_offsets[edge]
+         + t * mesh.boundary_lengths[edge])
     vals = np.empty((len(t), 2))
     for p in np.unique(parent):
         on = parent == p

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +237,16 @@ def test_numerical_value_error_exit_code(monkeypatch, capsys):
     assert "residual" in capsys.readouterr().err
 
 
+def test_misshapen_trace_exit_code(monkeypatch, capsys):
+    # unchecked, the flux correction would broadcast a (1, 2) trace to the
+    # boundary space's shape and the study would run on it
+    monkeypatch.setitem(cli.PROJECTORS, "l2", lambda datum, mesh, dofmap:
+                        bd.BoundaryTrace(np.ones((1, 2))))
+    assert main(["convergence", "--levels", "2", "--compat",
+                 "affine_field"]) == 2
+    assert "does not match the boundary space" in capsys.readouterr().err
+
+
 def test_records_carry_solver_report():
     config = StudyConfig(domain="convex", levels=2)
     records = run_convergence(config)
@@ -304,6 +315,28 @@ def test_cli_output_deterministic(tmp_path):
                      "--levels", "2", "--output", "csv",
                      "--out", str(p)]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# tables in markdown: four significant digits do not flip on the last-bit
+# differences between BLAS builds.  A change that moves a number on purpose
+# regenerates the file with the command line below.
+COMMITTED_OUTPUTS = {
+    "convergence_nonconvex_taylor_hood.md":
+        ["convergence", "--domain", "nonconvex", "--element", "taylor_hood",
+         "--alpha", "0.5", "--levels", "4"],
+    "convergence_convex_mini.md":
+        ["convergence", "--domain", "convex", "--element", "mini",
+         "--alpha", "0.5", "--levels", "4"],
+    "counterexample.txt": ["counterexample"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED_OUTPUTS))
+def test_committed_outputs_are_reproduced_byte_for_byte(name, tmp_path):
+    out = tmp_path / name
+    assert main(COMMITTED_OUTPUTS[name] + ["--out", str(out)]) == 0
+    want = Path(__file__).parent / "data" / name
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_python_m_stokesbc_runs_clean():

@@ -26,7 +26,7 @@ def interpolant_of(sol, mesh, dofmap):
     # shift to zero mean like the discrete normalization
     from stokesbc.fe_spaces import quadrature
     rule = quadrature(4)
-    areas = mesh.triangle_areas()
+    areas = mesh.areas
     coefs = pressure[dofmap.cell_pressure]
     # the P1 pressure basis values are the barycentric points
     total = float(np.einsum("q,qi,ni,n->", rule.weights, rule.points, coefs,

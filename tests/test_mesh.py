@@ -3,8 +3,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from stokesbc import boundary_data as bd
 from stokesbc import mesh as mesh_module
-from stokesbc._kernels import affine_jacobians
+from stokesbc.assembly import boundary_flux
+from stokesbc.fe_spaces import build_dofmap, pairing_from_name
+from stokesbc.manufactured import SingularSolution
 from stokesbc.mesh import (Mesh, Polygon, build_domain, refine_uniform,
                            unit_square)
 
@@ -147,7 +150,7 @@ def test_mesh_rejects_a_clockwise_triangle(name, fault):
 @pytest.mark.parametrize("name", sorted(COARSE))
 def test_geometry_is_computed_once_and_read_only(name, level):
     mesh = refined(COARSE[name](), level)
-    # the formulas the methods evaluated on every call, as the reference
+    # the formulas evaluated directly, as the reference
     p = mesh.vertices[mesh.triangles]
     u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     areas = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
@@ -156,11 +159,9 @@ def test_geometry_is_computed_once_and_read_only(name, level):
     starts = mesh.vertices[mesh.boundary_edges[:, 0]]
     offsets = np.hypot(
         *(starts - mesh.polygon.vertices[mesh.boundary_parent]).T)
-    for method, want in ((mesh.triangle_areas, areas),
-                         (mesh.boundary_edge_lengths, lengths),
-                         (mesh.boundary_edge_offsets, offsets)):
-        got = method()
-        assert method() is got
+    for attr, want in (("areas", areas), ("boundary_lengths", lengths),
+                       ("boundary_offsets", offsets)):
+        got = getattr(mesh, attr)
         assert not got.flags.writeable
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -189,13 +190,49 @@ def test_geometry_is_computed_once_and_read_only(name, level):
         assert np.array_equal(got, want)
 
 
+def trace_study_level(mesh):
+    """Every boundary operation one level of a trace-space study runs."""
+    sol = SingularSolution(0.5, mesh.polygon.corner_angle)
+    datum = bd.trace_of_solution(mesh.polygon, sol)
+    bd.datum_flux(datum, mesh)
+    for name in ("taylor_hood", "mini"):
+        dofmap = build_dofmap(mesh, pairing_from_name(name))
+        correctors = [bd.build_corrector(kind, mesh, dofmap)
+                      for kind in ("affine_field", "projected_normal")]
+        for project in (bd.project_l2, bd.interpolate_carstensen,
+                        bd.interpolate_lagrange):
+            u_h = project(datum, mesh, dofmap)
+            bd.trace_l2_distance(datum, u_h, mesh, dofmap)
+            for corrector in correctors:
+                fixed = bd.enforce_compatibility(u_h, corrector, mesh, dofmap)
+                bd.trace_l2_distance(datum, fixed, mesh, dofmap)
+                boundary_flux(fixed, mesh, dofmap)
+
+
 @pytest.mark.parametrize("level", range(7))
 @pytest.mark.parametrize("name", sorted(COARSE))
-def test_jacobian_determinants_are_twice_the_areas(name, level):
-    # so the area check in Mesh is the only orientation check assembly needs
+def test_inverse_jacobians_are_computed_on_first_read(name, level):
     mesh = refined(COARSE[name](), level)
-    detj, _ = affine_jacobians(mesh.vertices[mesh.triangles])
-    assert np.array_equal(detj, 2 * mesh.triangle_areas())
+    # a trace-space study reads no volume geometry, so it computes none
+    trace_study_level(mesh)
+    assert "inverse_jacobians" not in vars(mesh)
+    # the inverse transpose of J = [p1 - p0, p2 - p0] as its adjugate
+    # over its determinant, twice the area: the orientation check on the
+    # areas in Mesh is the only one the element maps need
+    p = mesh.vertices[mesh.triangles]
+    j = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    detj = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
+    assert np.array_equal(detj, 2 * mesh.areas)
+    adjugate_t = np.stack([j[:, 1, 1], -j[:, 1, 0],
+                           -j[:, 0, 1], j[:, 0, 0]], axis=1)
+    want = adjugate_t.reshape(-1, 2, 2) / detj[:, None, None]
+    got = mesh.inverse_jacobians
+    assert mesh.inverse_jacobians is got
+    assert not got.flags.writeable
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.allclose(np.swapaxes(j, 1, 2) @ got, np.eye(2), rtol=0,
+                       atol=1e-12)
 
 
 def test_unknown_domain_rejected():
@@ -232,18 +269,18 @@ def test_area_preserved(domain):
     mesh = domain
     for _ in range(3):
         mesh = refine_uniform(mesh)
-        assert mesh.triangle_areas().sum() == pytest.approx(area, rel=1e-12)
+        assert mesh.areas.sum() == pytest.approx(area, rel=1e-12)
 
 
 def test_boundary_arclength_values():
-    assert unit_square().boundary_edge_lengths().sum() == pytest.approx(4.0)
-    assert build_domain("nonconvex").boundary_edge_lengths().sum() == \
+    assert unit_square().boundary_lengths.sum() == pytest.approx(4.0)
+    assert build_domain("nonconvex").boundary_lengths.sum() == \
         pytest.approx(8.0)
 
 
 def test_boundary_arclength_refinement_invariant(domain):
-    length = domain.boundary_edge_lengths().sum()
-    assert refine_uniform(domain).boundary_edge_lengths().sum() == \
+    length = domain.boundary_lengths.sum()
+    assert refine_uniform(domain).boundary_lengths.sum() == \
         pytest.approx(length, rel=1e-14)
 
 
@@ -252,7 +289,7 @@ def test_divergence_theorem(domain):
     mesh = refine_uniform(domain)
     p = mesh.vertices[mesh.boundary_edges]
     mids = 0.5 * (p[:, 0] + p[:, 1])
-    lengths = mesh.boundary_edge_lengths()
+    lengths = mesh.boundary_lengths
     total = np.sum(lengths * np.einsum("ec,ec->e", mids,
                                        mesh.boundary_normals))
     assert total == pytest.approx(2 * mesh.polygon.area, rel=1e-12)
@@ -281,7 +318,7 @@ def test_boundary_chain_closed(domain):
 
 def test_positive_orientation(domain):
     mesh = refine_uniform(domain)
-    assert np.all(mesh.triangle_areas() > 0)
+    assert np.all(mesh.areas > 0)
 
 
 def test_conformity(domain):

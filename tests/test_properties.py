@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stokesbc import _kernels, solver
-from stokesbc.assembly import (DiscreteSolution, assemble_bordered_system,
-                               assemble_divergence, boundary_flux)
+from stokesbc.assembly import (DiscreteSolution, _local_blocks,
+                               assemble_bordered_system, assemble_divergence,
+                               boundary_flux)
 from stokesbc.boundary_data import (BoundaryDatum, BoundaryTrace,
                                     build_corrector, datum_flux,
                                     enforce_compatibility,
@@ -26,7 +27,8 @@ from stokesbc.fe_spaces import (build_dofmap, edge_trace_nodes,
 from stokesbc.manufactured import (SingularSolution, eval_pressure,
                                    eval_velocity, eval_velocity_gradient,
                                    exact_fields, velocity_from_polar)
-from stokesbc.mesh import Mesh, build_domain, refine_uniform, unit_square
+from stokesbc.mesh import (Mesh, Polygon, build_domain, refine_uniform,
+                           unit_square)
 from stokesbc.solver import solve
 
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -64,8 +66,8 @@ def test_corrected_trace_has_zero_flux(domain, level, pairing, projector,
 def discrete_trace_datum(u_h, mesh, dm, jumps):
     """Datum that evaluates the discrete trace ``u_h`` on the polygon."""
     pos = dm.boundary_edge_positions
-    offsets = mesh.boundary_edge_offsets()
-    lengths = mesh.boundary_edge_lengths()
+    offsets = mesh.boundary_offsets
+    lengths = mesh.boundary_lengths
 
     def evaluate(edge, s):
         on = np.flatnonzero(mesh.boundary_parent == edge)
@@ -108,8 +110,8 @@ def test_projectors_reproduce_discrete_traces(domain, level, pairing, seed,
     edge = jump_edge % mesh.polygon.n_edges
     jump = jump_at * mesh.polygon.edge_lengths[edge]
     datum = discrete_trace_datum(u_h, mesh, dm, ((edge, jump),))
-    nodes = (mesh.boundary_edge_offsets()[:, None]
-             + np.outer(mesh.boundary_edge_lengths(),
+    nodes = (mesh.boundary_offsets[:, None]
+             + np.outer(mesh.boundary_lengths,
                         edge_trace_nodes(pairing)))
     on_jump = np.abs(nodes[mesh.boundary_parent == edge] - jump) < 1e-12
     projectors = [project_l2]
@@ -261,6 +263,91 @@ def test_error_norms_vanish_on_reproduced_members(domain, level, member,
         assert norm(y_h, quad) <= 1e-12
 
 
+def with_vertices(mesh, vertices, polygon):
+    """``mesh``'s triangulation on new vertex positions."""
+    return Mesh(polygon, vertices, mesh.triangles, mesh.boundary_edges,
+                mesh.boundary_parent)
+
+
+def radial_datum(polygon, alpha):
+    """Trace of r^alpha x / r, homogeneous of degree alpha like the singular
+    solution, with a positive flux through the edges off the corner."""
+
+    def evaluate(edge, s):
+        x = polygon.point_on_edge(edge, s)
+        r = np.hypot(*x.T)[:, None]
+        return np.divide(x, r, out=np.zeros_like(x), where=r > 0) * r ** alpha
+
+    return BoundaryDatum(evaluate)
+
+
+# the norms of one study level at scale c agree with c to the power of their
+# degree to about 1e-11 relative: the Schur CG's stopping test mixes blocks
+# of different scales, so it stops at slightly different iterates
+SCALING_RTOL = 1e-9
+
+
+@PROPERTY
+@given(domain=domains, level=levels, pairing=pairings,
+       projector=st.sampled_from(sorted(PROJECTORS)),
+       compat=st.sampled_from(["off", "affine_field", "projected_normal"]),
+       alpha=st.floats(0.05, 0.95), scale=st.sampled_from([0.3, 3.0]))
+def test_study_level_scales_with_the_domain(domain, level, pairing,
+                                            projector, compat, alpha, scale):
+    # every field is homogeneous of degree alpha, so on the domain scaled by
+    # c the velocity error scales by c^(alpha+1), its gradient and the
+    # pressure error by c^alpha, and delta_h = <u_h, n> / |Omega| by
+    # c^(alpha-1); the radial part of the datum gives it a nonzero flux
+    mesh = refined(domain, level)
+    sol = SingularSolution(alpha, mesh.polygon.corner_angle)
+    config = StudyConfig(projector=projector, compat=compat)
+
+    def study_level(m):
+        dm = build_dofmap(m, pairing)
+        exact = trace_of_solution(m.polygon, sol).evaluate
+        radial = radial_datum(m.polygon, alpha).evaluate
+        datum = BoundaryDatum(lambda edge, s: exact(edge, s)
+                              + radial(edge, s))
+        system = assemble_bordered_system(
+            m, dm, approximate_datum(config, datum, m, dm))
+        y_h, _ = solve(system)
+        quad = ErrorQuadrature(m, dm, sol)
+        return np.array([norm(y_h, quad) for norm in (
+            l2_velocity_error, h1_seminorm_velocity_error,
+            l2_pressure_error)] + [y_h.delta_h])
+
+    base = study_level(mesh)
+    scaled = study_level(with_vertices(mesh, scale * mesh.vertices,
+                                       Polygon(scale * mesh.polygon.vertices)))
+    want = base * scale ** np.array([alpha + 1, alpha, alpha, alpha - 1])
+    checked = slice(None) if compat == "off" else slice(3)  # delta_h ~ 0
+    np.testing.assert_allclose(scaled[checked], want[checked],
+                               rtol=SCALING_RTOL, atol=0)
+
+
+@PROPERTY
+@given(domain=domains, level=levels, pairing=pairings,
+       angle=st.floats(0.0, 2 * np.pi))
+def test_element_maps_rotate_with_the_mesh(domain, level, pairing, angle):
+    # Polygon fixes edge 0 along +x, so only the vertices rotate; the
+    # geometry and local blocks do not read the polygon
+    mesh = refined(domain, level)
+    cos, sin = np.cos(angle), np.sin(angle)
+    rot = np.array([[cos, -sin], [sin, cos]])
+    turned = with_vertices(mesh, mesh.vertices @ rot.T, mesh.polygon)
+    np.testing.assert_allclose(turned.areas, mesh.areas, rtol=1e-13)
+    np.testing.assert_allclose(turned.inverse_jacobians,
+                               rot @ mesh.inverse_jacobians, rtol=0,
+                               atol=1e-12 * np.abs(mesh.inverse_jacobians).max())
+    (kloc, dloc), (kturn, dturn) = (
+        _local_blocks(m, build_dofmap(m, pairing)) for m in (mesh, turned))
+    np.testing.assert_allclose(kturn, kloc, rtol=0,
+                               atol=1e-12 * np.abs(kloc).max())
+    # the divergence blocks hold int q_i d_c phi_j: c runs over components
+    np.testing.assert_allclose(dturn, np.einsum("cd,tdij->tcij", rot, dloc),
+                               rtol=0, atol=1e-12 * np.abs(dloc).max())
+
+
 def random_system(domain, level, pairing, seed, alpha_reg=1.0):
     mesh = refined(domain, level)
     dm = build_dofmap(mesh, pairing)
@@ -378,12 +465,11 @@ def test_divergence_identity_and_defect_for_every_datum(domain, level,
         assert abs(flux) <= 1e-12
 
 
-def reference_local_matrices(tri_xy, grad_v, vals_p, qw):
-    detj, invjt = _kernels.affine_jacobians(tri_xy)
+def reference_local_matrices(detj, invjt, grad_v, vals_p, qw):
     g = np.einsum("tde,qie->tqid", invjt, grad_v)
     kloc = np.einsum("q,tqid,tqjd,t->tij", qw, g, g, detj)
     dloc = np.einsum("q,qi,tqjc,t->tcij", qw, vals_p, g, detj)
-    return kloc, dloc, detj
+    return kloc, dloc
 
 
 def reference_l2(coef, vals_v, wdet, exact):
@@ -402,7 +488,7 @@ def reference_h1(coef, grad_v, invjt, wdet, exact_grad):
        nl=st.sampled_from([3, 4, 6]), seed=seeds)
 def test_kernels_match_einsum_references(n, nq, nl, seed):
     rng = np.random.default_rng(seed)
-    tri_xy = rng.standard_normal((n, 3, 2))
+    detj = rng.random(n)
     grad_v = rng.standard_normal((nq, nl, 2))
     vals_v = rng.standard_normal((nq, nl))
     vals_p = rng.standard_normal((nq, 3))
@@ -411,8 +497,8 @@ def test_kernels_match_einsum_references(n, nq, nl, seed):
     wdet = rng.random((n, nq))
     invjt = rng.standard_normal((n, 2, 2))
 
-    got = _kernels.local_matrices(tri_xy, grad_v, vals_p, qw)
-    for value, ref in zip(got, reference_local_matrices(tri_xy, grad_v,
+    got = _kernels.local_matrices(detj, invjt, grad_v, vals_p, qw)
+    for value, ref in zip(got, reference_local_matrices(detj, invjt, grad_v,
                                                         vals_p, qw)):
         assert value.shape == ref.shape
         assert np.abs(value - ref).max() <= 1e-13 * np.abs(ref).max()
