@@ -134,9 +134,11 @@ class ErrorQuadrature:
             weights = np.multiply.outer(np.multiply.outer(detj[cells], ratio),
                                         rule.weights)
             vals_v, grads_v = _tabulate(dofmap.pairing, bary)
-            return _Batch(weights.reshape(len(cells), -1), invjt[cells],
-                          dofmap.cell_velocity[cells],
-                          dofmap.cell_pressure[cells], vals_v, grads_v,
+            return _Batch(weights.reshape(len(cells), -1),
+                          invjt.take(cells, axis=0),
+                          dofmap.cell_velocity.take(cells, axis=0),
+                          dofmap.cell_pressure.take(cells, axis=0),
+                          vals_v, grads_v,
                           vals_p=bary,  # the P1 pressure basis values
                           exact=_exact_at(sol, mesh, cells, bary))
 
@@ -169,7 +171,8 @@ def _exact_at(sol: SingularSolution, mesh: Mesh, cells: np.ndarray,
         out.update(gradient=np.empty(shape + (2,), dtype=complex),
                    pressure=np.empty(shape))
     for s, p in _chunks(*shape):
-        points = bary[p] @ mesh.vertices[mesh.triangles[cells[s]]]
+        corners = mesh.triangles.take(cells[s], axis=0)
+        points = bary[p] @ mesh.vertices.take(corners, axis=0)
         # each chunk is contiguous, so the reshapes are views
         exact_fields(sol, points.reshape(-1, 2),
                      **{k: v[s, p].reshape(-1, *v.shape[2:])
@@ -185,8 +188,8 @@ def l2_velocity_error(y_h: DiscreteSolution, quad: ErrorQuadrature) -> float:
     """L2 norm of the velocity error against the exact singular solution."""
     total = 0.0
     for b in quad.parts():
-        total += _kernels.l2_accumulate(y_h.velocity[b.cell_velocity],
-                                        b.vals_v, b.weights,
+        coef = y_h.velocity.take(b.cell_velocity, axis=0)
+        total += _kernels.l2_accumulate(coef, b.vals_v, b.weights,
                                         b.exact["velocity"])
     return float(np.sqrt(total))
 
@@ -198,8 +201,8 @@ def h1_seminorm_velocity_error(y_h: DiscreteSolution,
         raise ValueError("exact velocity is not in H1 for alpha <= 0")
     total = 0.0
     for b in quad.parts():
-        total += _kernels.h1_accumulate(y_h.velocity[b.cell_velocity],
-                                        b.grads_v, b.invjt, b.weights,
+        coef = y_h.velocity.take(b.cell_velocity, axis=0)
+        total += _kernels.h1_accumulate(coef, b.grads_v, b.invjt, b.weights,
                                         b.exact["gradient"])
     return float(np.sqrt(total))
 

@@ -14,12 +14,12 @@ later through a multiplier row, not by constraining the basis).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .mesh import Mesh
+from .mesh import Mesh, _frozen
 
 __all__ = [
     "ElementPairing",
@@ -179,10 +179,12 @@ class DofMap:
     (MINI).  Vector dofs use the component-major layout
     ``component * n_scalar_velocity + scalar_dof``.
 
+    The arrays are read-only.  The volume tables ``cell_velocity``,
+    ``boundary_mask`` and ``interior_dofs`` are built on first read, so a
+    map used on the boundary only costs boundary work.
+
     Attributes
     ----------
-    cell_velocity : (nt, nloc) int array
-        Scalar velocity dofs of each cell, matching the local basis order.
     cell_pressure : (nt, 3) int array
         Pressure dofs of each cell (the triangle's vertices).
     boundary_dofs : (nbd,) int array
@@ -192,42 +194,53 @@ class DofMap:
     boundary_edge_positions : (nbe, k + 1) int array
         Per boundary edge the positions of its trace dofs in
         ``boundary_dofs``, in 1D trace order (start, [mid,] end).
+    cell_velocity : (nt, nloc) int array
+        Scalar velocity dofs of each cell, matching the local basis order.
+    boundary_mask : (n_scalar_velocity,) bool array
+        True on the boundary dofs.
+    interior_dofs : (n_interior,) int array
+        The other scalar velocity dofs, ascending.
     """
 
     def __init__(self, mesh: Mesh, pairing: ElementPairing):
         self.mesh = mesh
         self.pairing = pairing
         nv = mesh.n_vertices
-        tris = mesh.triangles
-
         self.n_edges = len(mesh.edges)
+        self.n_pressure = nv
+        self.cell_pressure = mesh.triangles  # the mesh keeps it read-only
         a = mesh.boundary_edges[:, 0]
-
-        nt = mesh.n_triangles
-        cell = self.cell_velocity = np.empty(
-            (nt, 6 if pairing.kind == "taylor_hood" else 4), dtype=np.int64)
-        cell[:, :3] = tris
         if pairing.kind == "taylor_hood":
             self.n_scalar_velocity = nv + self.n_edges
-            np.add(mesh.triangle_edges, nv, out=cell[:, 3:])
             m = nv + mesh.boundary_edge_ids
-            self.boundary_dofs = np.column_stack([a, m]).ravel()
+            self.boundary_dofs = _frozen(np.column_stack([a, m]).ravel())
         else:
-            self.n_scalar_velocity = nv + nt
-            cell[:, 3] = np.arange(nv, nv + nt)
-            self.boundary_dofs = a.copy()
+            self.n_scalar_velocity = nv + mesh.n_triangles
+            self.boundary_dofs = _frozen(a.copy())
         # the boundary chain's edge e ends where edge e + 1 starts
         k = pairing.velocity_order
-        self.boundary_edge_positions = (
-            k * np.arange(mesh.n_boundary_edges)[:, None]
-            + np.arange(k + 1)) % len(self.boundary_dofs)
-        self.cell_pressure = tris  # the mesh keeps it read-only
-        self.n_pressure = nv
+        self.boundary_edge_positions = _frozen(
+            (k * np.arange(mesh.n_boundary_edges)[:, None]
+             + np.arange(k + 1)) % len(self.boundary_dofs))
 
+    @cached_property
+    def cell_velocity(self) -> np.ndarray:
+        mesh, nv = self.mesh, self.mesh.n_vertices
+        if self.pairing.kind == "taylor_hood":
+            extra = nv + mesh.triangle_edges
+        else:
+            extra = np.arange(nv, nv + mesh.n_triangles)[:, None]
+        return _frozen(np.hstack([mesh.triangles, extra]))
+
+    @cached_property
+    def boundary_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_scalar_velocity, dtype=bool)
         mask[self.boundary_dofs] = True
-        self.boundary_mask = mask
-        self.interior_dofs = np.where(~mask)[0]
+        return _frozen(mask)
+
+    @cached_property
+    def interior_dofs(self) -> np.ndarray:
+        return _frozen(np.flatnonzero(~self.boundary_mask))
 
     @property
     def n_boundary_dofs(self) -> int:
@@ -247,9 +260,8 @@ class DofMap:
             edges = mesh.edges
             pts[mesh.n_vertices:] = 0.5 * (mesh.vertices[edges[:, 0]]
                                            + mesh.vertices[edges[:, 1]])
-        else:
-            dof = self.cell_velocity[:, 3]
-            pts[dof] = mesh.vertices[mesh.triangles].mean(axis=1)
+        else:  # the bubbles follow the vertices in cell order
+            pts[mesh.n_vertices:] = mesh.vertices[mesh.triangles].mean(axis=1)
         return pts
 
     def boundary_dof_points(self) -> np.ndarray:

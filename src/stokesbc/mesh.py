@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class Polygon:
     """Simple closed polygon traversed counter-clockwise.
@@ -66,31 +71,32 @@ class Polygon:
     def n_edges(self) -> int:
         return self.vertices.shape[0]
 
-    @property
+    # the geometry is computed once, on first read; the arrays are read-only
+    @cached_property
     def edge_vectors(self) -> np.ndarray:
-        return np.roll(self.vertices, -1, axis=0) - self.vertices
+        return _frozen(np.roll(self.vertices, -1, axis=0) - self.vertices)
 
-    @property
+    @cached_property
     def edge_lengths(self) -> np.ndarray:
-        return np.hypot(*self.edge_vectors.T)
+        return _frozen(np.hypot(*self.edge_vectors.T))
 
-    @property
+    @cached_property
     def edge_normals(self) -> np.ndarray:
         """Outward unit normals, one per edge (CCW traversal => rotate -90deg)."""
         t = self.edge_vectors / self.edge_lengths[:, None]
-        return np.column_stack([t[:, 1], -t[:, 0]])
+        return _frozen(np.column_stack([t[:, 1], -t[:, 0]]))
 
-    @property
+    @cached_property
     def area(self) -> float:
         x, y = self.vertices.T
         return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
-    @property
+    @cached_property
     def centroid(self) -> np.ndarray:
         v = self.vertices
         w = np.roll(v, -1, axis=0)
         cross = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-        return (v + w).T @ cross / (6.0 * self.area)
+        return _frozen((v + w).T @ cross / (6.0 * self.area))
 
     def point_on_edge(self, edge: int, s) -> np.ndarray:
         """Point at arclength ``s`` from the start of polygon edge ``edge``."""
@@ -189,7 +195,7 @@ class Mesh:
 
     @cached_property
     def h(self) -> float:
-        p = self.vertices[self.edges]
+        p = self.vertices.take(self.edges, axis=0)
         return float(np.hypot(*(p[:, 1] - p[:, 0]).T).max())
 
     @cached_property
@@ -286,9 +292,10 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     and keeps its lexicographic order.
     """
     nv = mesh.n_vertices
-    edges = mesh.edges
-    midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-    vertices = np.vstack([mesh.vertices, midpoints])
+    v, edges = mesh.vertices, mesh.edges
+    midpoints = 0.5 * (v.take(edges[:, 0], axis=0)
+                       + v.take(edges[:, 1], axis=0))
+    vertices = np.vstack([v, midpoints])
     mid = nv + mesh.triangle_edges  # the midpoint of each local edge
     children = _red_children(mesh.triangles, mid, np.roll(mid, 1, axis=1),
                              mid)

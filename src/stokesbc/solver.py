@@ -79,8 +79,9 @@ def solve(system: BorderedSystem):
     if np.all(np.isfinite(b)):  # else CG runs to its cap; _report rejects x
         schur = spla.LinearOperator(
             (n, n), lambda d: B @ velocity_solve(Bt @ d), dtype=float)
+        d_inv = 2.0 / s  # diag(M_p)^{-1}, once per solve
         chebyshev = spla.LinearOperator(
-            (n, n), lambda r: _mass_chebyshev(mass, s, r), dtype=float)
+            (n, n), lambda r: _mass_chebyshev(mass, d_inv, r), dtype=float)
         # the margin covers CG's residual drift and the LU roundoff
         p, info = spla.cg(schur, b, rtol=0, maxiter=CG_MAXITER, M=chebyshev,
                           atol=1e-3 * RESIDUAL_TOL * np.linalg.norm(rhs),
@@ -96,12 +97,13 @@ def solve(system: BorderedSystem):
     return system.unpack(x), report
 
 
-def _mass_chebyshev(mass, s, r):
-    """``z = P r`` by ``MASS_STEPS`` Chebyshev steps on ``M_p z = r`` from 0.
-    ``D^{-1} M_p``, ``D = diag(M_p) = s / 2``, lies in [1/2, 2] (Wathen 1987),
-    so ``P`` is symmetric and ``P M_p`` within ``1 +- 1/T_5(5/3)`` of ``I``."""
+def _mass_chebyshev(mass, d_inv, r):
+    """``z = P r`` by ``MASS_STEPS`` Chebyshev steps on ``M_p z = r`` from 0,
+    where ``d_inv = 2 / s`` inverts ``D = diag(M_p) = s / 2``.  ``D^{-1} M_p``
+    lies in [1/2, 2] (Wathen 1987), so ``P`` is symmetric and ``P M_p``
+    within ``1 +- 1/T_5(5/3)`` of ``I``."""
     theta, delta = 5 / 4, 3 / 4  # centre and half-width of [1/2, 2]
-    d_inv, rho = 2.0 / s, delta / theta
+    rho = delta / theta
     z = d = d_inv * r / theta
     for _ in range(MASS_STEPS - 1):
         rho, rho_old = 1.0 / (2 * theta / delta - rho), rho

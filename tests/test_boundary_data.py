@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -519,3 +522,55 @@ def test_modified_vs_plain_error_ratio_bounded():
             plain = trace_l2_distance(datum, u_h, mesh, dm)
             modified = trace_l2_distance(datum, fixed, mesh, dm)
             assert modified / plain <= 3.0
+
+
+TRACE_STUDY = Path(__file__).parent / "data" / "trace_study_lshape.txt"
+
+
+def trace_study_text(alpha=0.545950, levels=4):
+    """The trace-space study on the L-shape, one ``repr`` float a line.
+
+    Per level the datum flux; then per pairing and projector the distance
+    of the raw trace, and the distance and flux of each corrected trace.
+    """
+    mesh = build_domain("nonconvex")
+    datum = trace_of_solution(mesh.polygon,
+                              SingularSolution(alpha, 3 * np.pi / 2))
+    lines = []
+    for level in range(1, levels + 1):
+        mesh = refine_uniform(mesh)
+        lines.append(f"level {level} datum flux "
+                     f"{float(datum_flux(datum, mesh))!r}")
+        for pairing in (TAYLOR_HOOD, MINI):
+            dm = build_dofmap(mesh, pairing)
+            correctors = {kind: build_corrector(kind, mesh, dm)
+                          for kind in ("affine_field", "projected_normal")}
+            for name, project in (("l2", project_l2),
+                                  ("carstensen", interpolate_carstensen),
+                                  ("lagrange", interpolate_lagrange)):
+                tag = f"level {level} {pairing.kind} {name}"
+                u_h = project(datum, mesh, dm)
+                distance = trace_l2_distance(datum, u_h, mesh, dm)
+                lines.append(f"{tag} distance {float(distance)!r}")
+                for kind, corrector in correctors.items():
+                    fixed = enforce_compatibility(u_h, corrector, mesh, dm)
+                    distance = trace_l2_distance(datum, fixed, mesh, dm)
+                    flux = boundary_flux(fixed, mesh, dm)
+                    lines.append(f"{tag}+{kind} distance {float(distance)!r} "
+                                 f"flux {float(flux)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_study_is_reproduced_byte_for_byte():
+    """Levels 1-4 at seed 310's exponent, 0.545950 to six digits, against
+    the committed file.  A change that moves a number on purpose
+    regenerates it with
+
+        PYTHONPATH=src python tests/test_boundary_data.py \\
+            > tests/data/trace_study_lshape.txt
+    """
+    assert trace_study_text() == TRACE_STUDY.read_text()
+
+
+if __name__ == "__main__":
+    sys.stdout.write(trace_study_text())

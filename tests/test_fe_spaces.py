@@ -147,6 +147,16 @@ def test_pressure_dofs_share_the_read_only_mesh_triangles(pairing):
     assert not dm.cell_pressure.flags.writeable
 
 
+@pytest.mark.parametrize("pairing", [TAYLOR_HOOD, MINI])
+def test_dofmap_arrays_are_read_only(pairing):
+    dm = build_dofmap(refine_uniform(build_domain("nonconvex")), pairing)
+    for attr in ("boundary_dofs", "boundary_edge_positions", "cell_velocity",
+                 "boundary_mask", "interior_dofs"):
+        array = getattr(dm, attr)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
 def test_bubble_not_on_boundary():
     mesh = unit_square()
     dm = build_dofmap(mesh, MINI)

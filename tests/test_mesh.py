@@ -165,6 +165,28 @@ def test_geometry_is_computed_once_and_read_only(name, level):
         assert not got.flags.writeable
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+    # the polygon's geometry, cached on the polygon and read-only
+    poly = mesh.polygon
+    x, y = poly.vertices.T
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    vectors = np.column_stack([xn - x, yn - y])
+    poly_lengths = np.hypot(xn - x, yn - y)
+    normals = np.column_stack([(yn - y) / poly_lengths,
+                               -((xn - x) / poly_lengths)])
+    cross = x * yn - xn * y
+    poly_area = 0.5 * float(np.sum(cross))
+    centroid = np.array([(x + xn) @ cross, (y + yn) @ cross]) / (6 * poly_area)
+    for attr, want in (("edge_vectors", vectors),
+                       ("edge_lengths", poly_lengths),
+                       ("edge_normals", normals), ("area", poly_area),
+                       ("centroid", centroid)):
+        got = getattr(poly, attr)
+        assert vars(poly)[attr] is got
+        assert getattr(poly, attr) is got
+        if attr != "area":
+            assert not got.flags.writeable
+            assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
     # h, the largest triangle edge, is computed on the first read only
     x, y = mesh.vertices.T
     a, b, c = mesh.triangles.T
@@ -191,12 +213,15 @@ def test_geometry_is_computed_once_and_read_only(name, level):
 
 
 def trace_study_level(mesh):
-    """Every boundary operation one level of a trace-space study runs."""
+    """Every boundary operation one level of a trace-space study runs;
+    returns the dof maps it ran them on."""
     sol = SingularSolution(0.5, mesh.polygon.corner_angle)
     datum = bd.trace_of_solution(mesh.polygon, sol)
     bd.datum_flux(datum, mesh)
+    dofmaps = []
     for name in ("taylor_hood", "mini"):
         dofmap = build_dofmap(mesh, pairing_from_name(name))
+        dofmaps.append(dofmap)
         correctors = [bd.build_corrector(kind, mesh, dofmap)
                       for kind in ("affine_field", "projected_normal")]
         for project in (bd.project_l2, bd.interpolate_carstensen,
@@ -207,6 +232,7 @@ def trace_study_level(mesh):
                 fixed = bd.enforce_compatibility(u_h, corrector, mesh, dofmap)
                 bd.trace_l2_distance(datum, fixed, mesh, dofmap)
                 boundary_flux(fixed, mesh, dofmap)
+    return dofmaps
 
 
 @pytest.mark.parametrize("level", range(7))
@@ -233,6 +259,35 @@ def test_inverse_jacobians_are_computed_on_first_read(name, level):
     assert np.array_equal(got, want)
     assert np.allclose(np.swapaxes(j, 1, 2) @ got, np.eye(2), rtol=0,
                        atol=1e-12)
+
+
+@pytest.mark.parametrize("level", range(1, 5))
+@pytest.mark.parametrize("name", ["convex", "nonconvex"])
+def test_dofmap_volume_tables_are_built_on_first_read(name, level):
+    mesh = refined(build_domain(name), level)
+    tables = ("cell_velocity", "boundary_mask", "interior_dofs")
+    # a trace-space study works on the boundary, so it builds none of them
+    for dofmap in trace_study_level(mesh):
+        assert not set(tables) & set(vars(dofmap))
+        # the tables from their definitions: vertex dofs first, then one
+        # dof per edge (Taylor-Hood) or per cell (MINI)
+        nv, nt = mesh.n_vertices, mesh.n_triangles
+        boundary = [mesh.boundary_edges.ravel()]
+        if dofmap.pairing.kind == "taylor_hood":
+            extra = nv + mesh.triangle_edges
+            boundary.append(nv + mesh.boundary_edge_ids)
+        else:
+            extra = nv + np.arange(nt)[:, None]
+        cells = np.hstack([mesh.triangles, extra])
+        mask = np.zeros(extra.max() + 1, dtype=bool)
+        mask[np.concatenate(boundary)] = True
+        interior = np.array([i for i, on in enumerate(mask) if not on],
+                            dtype=np.intp)
+        for attr, want in zip(tables, (cells, mask, interior)):
+            got = getattr(dofmap, attr)
+            assert getattr(dofmap, attr) is got
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 def test_unknown_domain_rejected():

@@ -410,7 +410,7 @@ def test_mass_chebyshev_is_a_symmetric_near_inverse(name, level):
     system = assemble_bordered_system(mesh, dm,
                                       np.zeros((dm.n_boundary_dofs, 2)))
     mass, s = system.pressure_mass, system.s
-    P = np.column_stack([solver._mass_chebyshev(mass, s, e)
+    P = np.column_stack([solver._mass_chebyshev(mass, 2.0 / s, e)
                          for e in np.eye(len(s))])
     assert np.abs(P - P.T).max() <= 1e-12 * np.abs(P).max()
     # the eigenvalues of P M_p are those of L^T P L, M_p = L L^T
