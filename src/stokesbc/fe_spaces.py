@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .mesh import Mesh, _frozen
+from .mesh import Mesh, _bisected, _frozen
 
 __all__ = [
     "ElementPairing",
@@ -179,21 +179,26 @@ class DofMap:
     (MINI).  Vector dofs use the component-major layout
     ``component * n_scalar_velocity + scalar_dof``.
 
-    The arrays are read-only.  The volume tables ``cell_velocity``,
-    ``boundary_mask`` and ``interior_dofs`` are built on first read, so a
-    map used on the boundary only costs boundary work.
+    The arrays are read-only.  The constructor reads only the mesh's counts
+    and builds ``boundary_edge_positions``.  The tables ``cell_pressure``,
+    ``boundary_dofs``, ``cell_velocity``, ``boundary_mask`` and
+    ``interior_dofs`` are built on first read, from the mesh's volume
+    tables, so a map used on the boundary only costs boundary work and
+    builds no triangulation.
 
     Attributes
     ----------
+    n_edges, n_pressure, n_scalar_velocity, n_boundary_dofs : int
+        Counts; ``n_boundary_dofs`` is ``k`` per boundary edge.
+    boundary_edge_positions : (nbe, k + 1) int array
+        Per boundary edge the positions of its trace dofs in
+        ``boundary_dofs``, in 1D trace order (start, [mid,] end).
     cell_pressure : (nt, 3) int array
         Pressure dofs of each cell (the triangle's vertices).
     boundary_dofs : (nbd,) int array
         Scalar velocity dofs on the boundary, ordered along the boundary
         traversal: for each chained boundary edge its start vertex, then (for
         Taylor-Hood) its midpoint dof.
-    boundary_edge_positions : (nbe, k + 1) int array
-        Per boundary edge the positions of its trace dofs in
-        ``boundary_dofs``, in 1D trace order (start, [mid,] end).
     cell_velocity : (nt, nloc) int array
         Scalar velocity dofs of each cell, matching the local basis order.
     boundary_mask : (n_scalar_velocity,) bool array
@@ -206,22 +211,31 @@ class DofMap:
         self.mesh = mesh
         self.pairing = pairing
         nv = mesh.n_vertices
-        self.n_edges = len(mesh.edges)
+        self.n_edges = mesh.n_edges
         self.n_pressure = nv
-        self.cell_pressure = mesh.triangles  # the mesh keeps it read-only
-        a = mesh.boundary_edges[:, 0]
         if pairing.kind == "taylor_hood":
             self.n_scalar_velocity = nv + self.n_edges
-            m = nv + mesh.boundary_edge_ids
-            self.boundary_dofs = _frozen(np.column_stack([a, m]).ravel())
         else:
             self.n_scalar_velocity = nv + mesh.n_triangles
-            self.boundary_dofs = _frozen(a.copy())
         # the boundary chain's edge e ends where edge e + 1 starts
         k = pairing.velocity_order
+        self.n_boundary_dofs = k * mesh.n_boundary_edges
         self.boundary_edge_positions = _frozen(
             (k * np.arange(mesh.n_boundary_edges)[:, None]
-             + np.arange(k + 1)) % len(self.boundary_dofs))
+             + np.arange(k + 1)) % self.n_boundary_dofs)
+
+    @cached_property
+    def cell_pressure(self) -> np.ndarray:
+        return self.mesh.triangles  # the mesh keeps it read-only
+
+    @cached_property
+    def boundary_dofs(self) -> np.ndarray:
+        mesh = self.mesh
+        a = mesh.boundary_edges[:, 0]
+        if self.pairing.kind == "taylor_hood":
+            m = mesh.n_vertices + mesh.boundary_edge_ids
+            return _frozen(np.column_stack([a, m]).ravel())
+        return _frozen(a.copy())
 
     @cached_property
     def cell_velocity(self) -> np.ndarray:
@@ -243,10 +257,6 @@ class DofMap:
         return _frozen(np.flatnonzero(~self.boundary_mask))
 
     @property
-    def n_boundary_dofs(self) -> int:
-        return len(self.boundary_dofs)
-
-    @property
     def n_velocity_dofs(self) -> int:
         """Vector velocity dofs (both components)."""
         return 2 * self.n_scalar_velocity
@@ -265,12 +275,10 @@ class DofMap:
         return pts
 
     def boundary_dof_points(self) -> np.ndarray:
-        """``dof_points()[boundary_dofs]``, built from the boundary edges only."""
-        v = self.mesh.vertices
-        a, b = self.mesh.boundary_edges.T
+        """``dof_points()[boundary_dofs]``, built from the boundary chain only."""
         if self.pairing.kind == "taylor_hood":
-            return np.stack([v[a], 0.5 * (v[a] + v[b])], axis=1).reshape(-1, 2)
-        return v[a]
+            return _bisected(self.mesh.boundary_points)
+        return self.mesh.boundary_points.copy()
 
 
 def build_dofmap(mesh: Mesh, pairing: ElementPairing) -> DofMap:

@@ -12,11 +12,14 @@ boundary edge ends there (:class:`Mesh` checks it, refinement keeps it).
 The corner angle is read off the polygon's vertices.
 
 Meshes are immutable after construction and may be shared freely between
-threads.  Refinement always produces a new mesh.
+threads.  Refinement always produces a new mesh, which builds its
+triangulation on first read (see :class:`Mesh`): a study that works on the
+boundary alone never builds one.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +32,11 @@ __all__ = [
     "unit_square",
     "refine_uniform",
 ]
+
+
+# how far a boundary vertex may lie off its polygon edge, across or beyond
+# its ends, relative to the edge's length
+ON_EDGE_RTOL = 1e-12
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -104,25 +112,56 @@ class Polygon:
         return self.vertices[edge] + np.multiply.outer(np.asarray(s), t)
 
 
+class _VolumeTable:
+    """A :class:`Mesh` volume table, kept in the instance like a
+    ``cached_property``; the first read builds them all.  Before Python
+    3.12 ``cached_property`` locks all instances at once, and a build reads
+    its parent's tables, so two threads could wait on each other."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, mesh, owner=None):
+        if mesh is None:
+            return self
+        mesh._build_volume()
+        return vars(mesh)[self.name]
+
+
 class Mesh:
     """Conforming triangulation of a :class:`Polygon`.
 
     Vertex 0 is exactly the origin, the polygon's corner, and boundary edge
     0 starts there, so the last boundary edge ends there; the constructor
-    rejects a mesh that breaks this.
+    rejects a mesh that breaks this, or whose boundary vertices lie off
+    their polygon edges.
+
+    The boundary chain and the counts are set at construction.  So are the
+    volume tables ``vertices``, ``triangles``, ``boundary_edges``,
+    ``edges``, ``triangle_edges``, ``boundary_edge_ids`` and ``areas`` of a
+    mesh built from arrays; one made by :func:`refine_uniform` builds them
+    on first read, once, under a lock, and then lets its parent go.  ``h``
+    and ``inverse_jacobians`` read the volume.  Every array is read-only.
 
     Attributes
     ----------
+    n_vertices, n_triangles, n_edges, n_boundary_edges : int
+    boundary_points : (nbe, 2) float array
+        Start point of each boundary edge, along the boundary chain.
+    boundary_parent : (nbe,) int array
+        Index of the polygon edge each boundary edge lies on.
+    boundary_normals : (nbe, 2) float array
+        Outward unit normal of each boundary edge.
+    boundary_lengths, boundary_offsets : (nbe,) float arrays
+        Length of each boundary edge, and arclength of its start within its
+        parent polygon edge.
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array
         Vertex index triples, all positively oriented.
     boundary_edges : (nbe, 2) int array
         Vertex pairs, chained so edge k ends where edge k+1 starts and the
-        chain traverses the boundary exactly once, counter-clockwise.
-    boundary_normals : (nbe, 2) float array
-        Outward unit normal of each boundary edge.
-    boundary_parent : (nbe,) int array
-        Index of the polygon edge each boundary edge lies on.
+        chain traverses the boundary exactly once, counter-clockwise; edge
+        k starts at ``boundary_points[k]``.
     edges : (ne, 2) int array
         Every edge once as a vertex pair (low, high), in lexicographic order:
         found by one sort, or carried over from the parent by refinement.
@@ -133,65 +172,93 @@ class Mesh:
         Edge id of each boundary edge.
     areas : (nt,) float array
         Triangle areas, half the determinants of the affine element maps.
-    boundary_lengths, boundary_offsets : (nbe,) float arrays
-        Length of each boundary edge, and arclength of its start within its
-        parent polygon edge.
     inverse_jacobians : (nt, 2, 2) float array
         Inverse transposes of the element maps (computed on first read).
     h : float
         Maximum triangle diameter, the longest edge (computed on first read).
     """
 
+    vertices = _VolumeTable()
+    triangles = _VolumeTable()
+    boundary_edges = _VolumeTable()
+    edges = _VolumeTable()
+    triangle_edges = _VolumeTable()
+    boundary_edge_ids = _VolumeTable()
+    areas = _VolumeTable()
+
     def __init__(self, polygon, vertices, triangles, boundary_edges,
-                 boundary_parent, *, _numbering=None):
+                 boundary_parent):
+        vertices = np.ascontiguousarray(vertices, dtype=float)
+        triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
+        self._set_chain(polygon, vertices[boundary_edges[:, 0]],
+                        boundary_parent)
+        self.n_vertices, self.n_triangles = len(vertices), len(triangles)
+        numbering = _number_edges(triangles, boundary_edges, self.n_vertices)
+        self.n_edges = len(numbering[0])
+        self._set_volume(vertices, triangles, boundary_edges, numbering)
+
+    def _set_chain(self, polygon, points, parent):
+        parent = np.ascontiguousarray(parent, dtype=np.int64)
         self.polygon = polygon
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
-        self.boundary_parent = np.ascontiguousarray(boundary_parent, dtype=np.int64)
-        self.boundary_normals = polygon.edge_normals[self.boundary_parent]
-        # refine_uniform passes the numbering it carried over from the parent
-        if _numbering is None:
-            _numbering = _number_edges(self.triangles, self.boundary_edges,
-                                       self.n_vertices)
-        self.edges, self.triangle_edges, self.boundary_edge_ids = _numbering
+        self.boundary_points = _frozen(points)
+        self.boundary_parent = _frozen(parent)
+        self.boundary_normals = _frozen(polygon.edge_normals[parent])
+        self.boundary_lengths = _frozen(
+            np.hypot(*(np.roll(points, -1, axis=0) - points).T))
+        rel = points - polygon.vertices[parent]
+        self.boundary_offsets = _frozen(np.hypot(*rel.T))
+        if np.any(points[0] != 0):
+            raise ValueError("boundary edge 0 must start at the origin")
+        # each point's offset along its polygon edge and distance from the
+        # edge's line, as fractions of the edge's length
+        vec = polygon.edge_vectors[parent]
+        length2 = polygon.edge_lengths[parent] ** 2
+        along = np.einsum("ec,ec->e", rel, vec) / length2
+        across = (rel[:, 1] * vec[:, 0] - rel[:, 0] * vec[:, 1]) / length2
+        if not np.all((np.abs(across) <= ON_EDGE_RTOL)
+                      & (along >= -ON_EDGE_RTOL)
+                      & (along <= 1 + ON_EDGE_RTOL)):
+            raise ValueError("boundary vertices must lie on their polygon "
+                             "edges")
+
+    def _set_volume(self, vertices, triangles, boundary_edges, numbering):
+        """Check the volume tables against the chain and store them."""
         # after the edge numbering, whose sort sets the construction's peak
         # memory, so that the stored areas do not add to it
-        ux, uy, vx, vy = _spans(self.vertices, self.triangles)
-        self.areas = 0.5 * (ux * vy - uy * vx)
-        self._validate()
-        p = self.vertices[self.boundary_edges]
-        self.boundary_lengths = np.hypot(*(p[:, 1] - p[:, 0]).T)
-        self.boundary_offsets = np.hypot(
-            *(p[:, 0] - polygon.vertices[self.boundary_parent]).T)
-        for array in (self.vertices, self.triangles, self.boundary_edges,
-                      self.boundary_parent, self.boundary_normals, self.edges,
-                      self.triangle_edges, self.boundary_edge_ids, self.areas,
-                      self.boundary_lengths, self.boundary_offsets):
-            array.setflags(write=False)
-
-    def _validate(self):
-        if np.any(self.areas <= 0):
+        ux, uy, vx, vy = _spans(vertices, triangles)
+        areas = 0.5 * (ux * vy - uy * vx)
+        if np.any(areas <= 0):
             raise ValueError("mesh contains a non-positively oriented triangle")
-        start = self.boundary_edges[:, 0]
-        end = self.boundary_edges[:, 1]
+        start, end = boundary_edges.T
         if not np.array_equal(np.roll(start, -1), end):
             raise ValueError("boundary edges are not chained")
-        if np.any(self.vertices[0] != 0) or start[0] != 0:
+        if start[0] != 0:
             raise ValueError("vertex 0 must be the origin and boundary edge "
                              "0 must start there")
+        if not np.array_equal(vertices.take(start, axis=0),
+                              self.boundary_points):
+            raise ValueError("boundary vertices differ from the boundary "
+                             "chain's points")
+        edges, triangle_edges, boundary_edge_ids = numbering
+        tables = {"vertices": vertices, "triangles": triangles,
+                  "boundary_edges": boundary_edges, "edges": edges,
+                  "triangle_edges": triangle_edges,
+                  "boundary_edge_ids": boundary_edge_ids, "areas": areas}
+        for array in tables.values():
+            array.setflags(write=False)
+        vars(self).update(tables)
 
-    @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
-    def n_triangles(self) -> int:
-        return self.triangles.shape[0]
+    def _build_volume(self):
+        with self._lock:
+            if self._parent is None:  # another thread built them
+                return
+            self._set_volume(*_red_refinement(self._parent))
+            self._parent = None  # so that a study holds one level at a time
 
     @property
     def n_boundary_edges(self) -> int:
-        return self.boundary_edges.shape[0]
+        return len(self.boundary_points)
 
     @cached_property
     def h(self) -> float:
@@ -289,8 +356,29 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     edge (and hence its normal).  Old vertices keep their numbers, so vertex
     0 stays the origin and the boundary chain still starts there.  The edge
     numbering is carried over from the parent's (:func:`_carried_numbering`)
-    and keeps its lexicographic order.
+    and keeps its lexicographic order.  The refined chain is set at once,
+    the volume tables from the parent's on first read.
     """
+    fine = Mesh.__new__(Mesh)
+    fine._set_chain(mesh.polygon, _bisected(mesh.boundary_points),
+                    np.repeat(mesh.boundary_parent, 2))
+    fine.n_vertices = mesh.n_vertices + mesh.n_edges
+    fine.n_triangles = 4 * mesh.n_triangles
+    fine.n_edges = 2 * mesh.n_edges + 3 * mesh.n_triangles
+    fine._parent, fine._lock = mesh, threading.Lock()
+    return fine
+
+
+def _bisected(points):
+    """The closed chain ``points`` with the midpoint of each edge after its
+    start point."""
+    return np.stack([points, 0.5 * (points + np.roll(points, -1, axis=0))],
+                    axis=1).reshape(-1, 2)
+
+
+def _red_refinement(mesh):
+    """``(vertices, triangles, boundary_edges, numbering)`` of the red
+    refinement of ``mesh``."""
     nv = mesh.n_vertices
     v, edges = mesh.vertices, mesh.edges
     midpoints = 0.5 * (v.take(edges[:, 0], axis=0)
@@ -304,9 +392,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     a, b = mesh.boundary_edges.T
     m = nv + mesh.boundary_edge_ids
     bnd = np.column_stack([a, m, m, b]).reshape(-1, 2)
-    return Mesh(mesh.polygon, vertices, children, bnd,
-                np.repeat(mesh.boundary_parent, 2),
-                _numbering=_carried_numbering(mesh, mid))
+    return vertices, children, bnd, _carried_numbering(mesh, mid)
 
 
 def _red_children(corner, after, before, middle):
@@ -326,7 +412,7 @@ def _carried_numbering(mesh, mid):
     """``(edges, triangle_edges, boundary_edge_ids)`` of the refined mesh by
     one argsort of its 2 ne + 3 nt edges, the halves of the parent edges and
     those between each parent triangle's midpoints ``mid``."""
-    nv, nt, ne = mesh.n_vertices, mesh.n_triangles, len(mesh.edges)
+    nv, nt, ne = mesh.n_vertices, mesh.n_triangles, mesh.n_edges
     # ids before the sort: 2 e and 2 e + 1 for the halves of parent edge
     # e = (a, b) at a and at b, then 2 ne + 3 t + k for the edge of parent
     # triangle t from midpoint k to midpoint k + 1

@@ -1,4 +1,9 @@
+import sys
+import threading
+import tracemalloc
+import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -265,7 +270,8 @@ def test_inverse_jacobians_are_computed_on_first_read(name, level):
 @pytest.mark.parametrize("name", ["convex", "nonconvex"])
 def test_dofmap_volume_tables_are_built_on_first_read(name, level):
     mesh = refined(build_domain(name), level)
-    tables = ("cell_velocity", "boundary_mask", "interior_dofs")
+    tables = ("cell_pressure", "boundary_dofs", "cell_velocity",
+              "boundary_mask", "interior_dofs")
     # a trace-space study works on the boundary, so it builds none of them
     for dofmap in trace_study_level(mesh):
         assert not set(tables) & set(vars(dofmap))
@@ -273,9 +279,11 @@ def test_dofmap_volume_tables_are_built_on_first_read(name, level):
         # dof per edge (Taylor-Hood) or per cell (MINI)
         nv, nt = mesh.n_vertices, mesh.n_triangles
         boundary = [mesh.boundary_edges.ravel()]
+        starts = mesh.boundary_edges[:, :1]
         if dofmap.pairing.kind == "taylor_hood":
             extra = nv + mesh.triangle_edges
             boundary.append(nv + mesh.boundary_edge_ids)
+            starts = np.column_stack([starts, boundary[-1]])
         else:
             extra = nv + np.arange(nt)[:, None]
         cells = np.hstack([mesh.triangles, extra])
@@ -283,11 +291,96 @@ def test_dofmap_volume_tables_are_built_on_first_read(name, level):
         mask[np.concatenate(boundary)] = True
         interior = np.array([i for i, on in enumerate(mask) if not on],
                             dtype=np.intp)
-        for attr, want in zip(tables, (cells, mask, interior)):
+        assert dofmap.n_boundary_dofs == starts.size
+        for attr, want in zip(tables, (mesh.triangles, starts.ravel(), cells,
+                                       mask, interior)):
             got = getattr(dofmap, attr)
             assert getattr(dofmap, attr) is got
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+VOLUME = ("vertices", "triangles", "boundary_edges", "edges",
+          "triangle_edges", "boundary_edge_ids", "areas")
+
+
+def assert_bit_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("level", range(1, 5))
+@pytest.mark.parametrize("name", ["convex", "nonconvex"])
+def test_refined_mesh_builds_its_volume_on_first_read(name, level):
+    parent = refined(build_domain(name), level - 1)
+    counts = (parent.n_vertices + parent.n_edges, 4 * parent.n_triangles,
+              2 * parent.n_edges + 3 * parent.n_triangles)
+    mesh = refine_uniform(parent)
+    # a trace-space study works on the boundary, so it builds no volume
+    trace_study_level(mesh)
+    assert not set(VOLUME) & set(vars(mesh))
+    assert (mesh.n_vertices, mesh.n_triangles, mesh.n_edges) == counts
+    # the first read builds every table, then lets the parent go
+    released = weakref.ref(parent)
+    del parent
+    assert released() is not None
+    eager = Mesh(mesh.polygon, mesh.vertices, mesh.triangles,
+                 mesh.boundary_edges, mesh.boundary_parent)
+    assert released() is None
+    for attr in VOLUME:
+        got = getattr(mesh, attr)
+        assert vars(mesh)[attr] is got
+        assert not got.flags.writeable
+        assert_bit_equal(got, getattr(eager, attr))
+    assert (eager.n_vertices, eager.n_triangles, eager.n_edges) == counts
+
+
+def test_first_read_builds_the_volume_once_across_threads(monkeypatch):
+    coarse = refined(build_domain("nonconvex"), 3)
+    coarse.triangles  # built, so that only the mesh under test builds
+    calls = []
+    red_refinement = mesh_module._red_refinement
+
+    def counted(mesh):
+        calls.append(mesh)
+        return red_refinement(mesh)
+
+    monkeypatch.setattr(mesh_module, "_red_refinement", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the build
+    try:
+        for _ in range(5):
+            mesh = refine_uniform(coarse)
+            start = threading.Barrier(4, timeout=30)
+
+            def read(_):
+                start.wait()
+                return mesh.triangles
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(read, range(4), timeout=60))
+            assert all(triangles is got[0] for triangles in got)
+            assert got[0] is mesh.triangles
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 5
+
+
+# tracemalloc peak of refining the L-shape to level 7 and running one
+# trace-study level there: about 2.5 MB when no triangulation is built, and
+# 15 MB when refinement builds every level's volume tables
+TRACE_STUDY_PEAK_BYTES = 6 * 2**20
+
+
+def test_a_trace_study_builds_no_volume_mesh():
+    tracemalloc.start()
+    try:
+        trace_study_level(refined(build_domain("nonconvex"), 7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= TRACE_STUDY_PEAK_BYTES
 
 
 def test_unknown_domain_rejected():
@@ -311,6 +404,7 @@ def test_refinement_carries_the_edge_numbering_forward(domain, monkeypatch):
     monkeypatch.setattr(mesh_module, "_number_edges", number_edges)
     fine = refine_uniform(refine_uniform(mesh))
     assert fine.n_triangles == 64 * domain.n_triangles
+    assert len(fine.edges) == fine.n_edges  # builds the tables
 
 
 def test_refine_twice_topology(domain):

@@ -4,14 +4,15 @@ error quadrature, the solver, the kernels and the singular profiles."""
 from functools import lru_cache
 
 import numpy as np
+import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stokesbc import _kernels, solver
-from stokesbc.assembly import (DiscreteSolution, _local_blocks,
-                               assemble_bordered_system, assemble_divergence,
-                               boundary_flux)
+from stokesbc.assembly import (ASSEMBLY_QUAD_DEGREE, DiscreteSolution,
+                               _local_blocks, assemble_bordered_system,
+                               assemble_divergence, boundary_flux)
 from stokesbc.boundary_data import (BoundaryDatum, BoundaryTrace,
                                     build_corrector, datum_flux,
                                     enforce_compatibility,
@@ -22,13 +23,14 @@ from stokesbc.cli import (DOMAINS, PROJECTORS, StudyConfig,
                           approximate_datum)
 from stokesbc.errors import (ErrorQuadrature, h1_seminorm_velocity_error,
                              l2_pressure_error, l2_velocity_error)
-from stokesbc.fe_spaces import (build_dofmap, edge_trace_nodes,
-                                edge_trace_values, pairing_from_name)
+from stokesbc.fe_spaces import (_tabulate, build_dofmap, edge_trace_nodes,
+                                edge_trace_values, pairing_from_name,
+                                quadrature)
 from stokesbc.manufactured import (SingularSolution, eval_pressure,
                                    eval_velocity, eval_velocity_gradient,
                                    exact_fields, velocity_from_polar)
-from stokesbc.mesh import (Mesh, Polygon, build_domain, refine_uniform,
-                           unit_square)
+from stokesbc.mesh import (Mesh, Polygon, _spans, build_domain,
+                           refine_uniform, unit_square)
 from stokesbc.solver import solve
 
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -192,6 +194,32 @@ def test_refinement_numbers_edges_as_a_rebuilt_mesh(name, level, seed):
 
 
 @PROPERTY
+@given(name=st.sampled_from(["convex", "nonconvex", "unit_square"]),
+       level=st.integers(0, 6))
+def test_boundary_chain_matches_its_volume_mesh(name, level):
+    mesh = unit_square() if name == "unit_square" else build_domain(name)
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    # read before any volume table is built, then against a mesh built
+    # directly from the tables
+    attrs = ("boundary_points", "boundary_lengths", "boundary_offsets",
+             "boundary_normals")
+    chain = [getattr(mesh, attr) for attr in attrs]
+    names = ("taylor_hood", "mini")
+    nodes = [build_dofmap(mesh, pairing_from_name(p)).boundary_dof_points()
+             for p in names]
+    assert level == 0 or "vertices" not in vars(mesh)
+    eager = Mesh(mesh.polygon, mesh.vertices, mesh.triangles,
+                 mesh.boundary_edges, mesh.boundary_parent)
+    want = [getattr(eager, attr) for attr in attrs]
+    want += [build_dofmap(eager, pairing_from_name(p)).boundary_dof_points()
+             for p in names]
+    for got, ref in zip(chain + nodes, want):
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+        assert got.tobytes() == ref.tobytes()
+
+
+@PROPERTY
 @given(domain=domains, level=levels, pairing=pairings,
        quad_degree=quad_degrees, corner_levels=corner_levels, seed=seeds)
 def test_error_quadrature_weights_sum_to_area(domain, level, pairing,
@@ -329,23 +357,40 @@ def test_study_level_scales_with_the_domain(domain, level, pairing,
 @given(domain=domains, level=levels, pairing=pairings,
        angle=st.floats(0.0, 2 * np.pi))
 def test_element_maps_rotate_with_the_mesh(domain, level, pairing, angle):
-    # Polygon fixes edge 0 along +x, so only the vertices rotate; the
-    # geometry and local blocks do not read the polygon
+    # Polygon fixes edge 0 along +x, so no Mesh holds the turned vertices:
+    # the turned geometry and local blocks are built from them directly
     mesh = refined(domain, level)
     cos, sin = np.cos(angle), np.sin(angle)
     rot = np.array([[cos, -sin], [sin, cos]])
-    turned = with_vertices(mesh, mesh.vertices @ rot.T, mesh.polygon)
-    np.testing.assert_allclose(turned.areas, mesh.areas, rtol=1e-13)
-    np.testing.assert_allclose(turned.inverse_jacobians,
-                               rot @ mesh.inverse_jacobians, rtol=0,
+    ux, uy, vx, vy = _spans(mesh.vertices @ rot.T, mesh.triangles)
+    areas = 0.5 * (ux * vy - uy * vx)
+    invjt = (np.stack([vy, -uy, -vx, ux], axis=1).reshape(-1, 2, 2)
+             / (2 * areas[:, None, None]))
+    np.testing.assert_allclose(areas, mesh.areas, rtol=1e-13)
+    np.testing.assert_allclose(invjt, rot @ mesh.inverse_jacobians, rtol=0,
                                atol=1e-12 * np.abs(mesh.inverse_jacobians).max())
-    (kloc, dloc), (kturn, dturn) = (
-        _local_blocks(m, build_dofmap(m, pairing)) for m in (mesh, turned))
+    rule = quadrature(ASSEMBLY_QUAD_DEGREE)
+    _, grads_v = _tabulate(pairing, rule.points)
+    kloc, dloc = _local_blocks(mesh, build_dofmap(mesh, pairing))
+    kturn, dturn = _kernels.local_matrices(2 * areas, invjt, grads_v,
+                                           rule.points, rule.weights)
     np.testing.assert_allclose(kturn, kloc, rtol=0,
                                atol=1e-12 * np.abs(kloc).max())
     # the divergence blocks hold int q_i d_c phi_j: c runs over components
     np.testing.assert_allclose(dturn, np.einsum("cd,tdij->tcij", rot, dloc),
                                rtol=0, atol=1e-12 * np.abs(dloc).max())
+
+
+@PROPERTY
+@given(domain=domains, level=st.integers(0, 3),
+       angle=st.floats(0.01, 2 * np.pi - 0.01))
+def test_mesh_rejects_vertices_off_its_polygon(domain, level, angle):
+    # a turned mesh keeps its triangles but leaves the unturned polygon
+    mesh = refined(domain, level)
+    cos, sin = np.cos(angle), np.sin(angle)
+    rot = np.array([[cos, -sin], [sin, cos]])
+    with pytest.raises(ValueError, match="lie on their polygon edges"):
+        with_vertices(mesh, mesh.vertices @ rot.T, mesh.polygon)
 
 
 def random_system(domain, level, pairing, seed, alpha_reg=1.0):
