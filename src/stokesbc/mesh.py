@@ -140,8 +140,9 @@ class Mesh:
     volume tables ``vertices``, ``triangles``, ``boundary_edges``,
     ``edges``, ``triangle_edges``, ``boundary_edge_ids`` and ``areas`` of a
     mesh built from arrays; one made by :func:`refine_uniform` builds them
-    on first read, once, under a lock, and then lets its parent go.  ``h``
-    and ``inverse_jacobians`` read the volume.  Every array is read-only.
+    on first read, once, under a lock, and then lets its parent go.  Either
+    way the edges are numbered by one sort.  ``h`` and
+    ``inverse_jacobians`` read the volume.  Every array is read-only.
 
     Attributes
     ----------
@@ -163,8 +164,7 @@ class Mesh:
         chain traverses the boundary exactly once, counter-clockwise; edge
         k starts at ``boundary_points[k]``.
     edges : (ne, 2) int array
-        Every edge once as a vertex pair (low, high), in lexicographic order:
-        found by one sort, or carried over from the parent by refinement.
+        Every edge once as a vertex pair (low, high), in lexicographic order.
     triangle_edges : (nt, 3) int array
         Edge id of each triangle's local edge k, which joins local vertices
         k and k+1 (mod 3).
@@ -194,9 +194,7 @@ class Mesh:
         self._set_chain(polygon, vertices[boundary_edges[:, 0]],
                         boundary_parent)
         self.n_vertices, self.n_triangles = len(vertices), len(triangles)
-        numbering = _number_edges(triangles, boundary_edges, self.n_vertices)
-        self.n_edges = len(numbering[0])
-        self._set_volume(vertices, triangles, boundary_edges, numbering)
+        self._set_volume(vertices, triangles, boundary_edges)
 
     def _set_chain(self, polygon, points, parent):
         parent = np.ascontiguousarray(parent, dtype=np.int64)
@@ -222,8 +220,16 @@ class Mesh:
             raise ValueError("boundary vertices must lie on their polygon "
                              "edges")
 
-    def _set_volume(self, vertices, triangles, boundary_edges, numbering):
-        """Check the volume tables against the chain and store them."""
+    def _set_volume(self, vertices, triangles, boundary_edges):
+        """Number the edges, check the volume tables against the chain and
+        the edge count, if one was announced, and store them."""
+        edges, triangle_edges, boundary_edge_ids = _number_edges(
+            triangles, boundary_edges, len(vertices))
+        # a mesh built from arrays takes its count from here; a refined one
+        # announced it before the build, and a DofMap may be sized by it
+        if vars(self).setdefault("n_edges", len(edges)) != len(edges):
+            raise ValueError(f"mesh has {len(edges)} edges, not the "
+                             f"{self.n_edges} announced")
         # after the edge numbering, whose sort sets the construction's peak
         # memory, so that the stored areas do not add to it
         ux, uy, vx, vy = _spans(vertices, triangles)
@@ -240,7 +246,6 @@ class Mesh:
                               self.boundary_points):
             raise ValueError("boundary vertices differ from the boundary "
                              "chain's points")
-        edges, triangle_edges, boundary_edge_ids = numbering
         tables = {"vertices": vertices, "triangles": triangles,
                   "boundary_edges": boundary_edges, "edges": edges,
                   "triangle_edges": triangle_edges,
@@ -354,10 +359,10 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     New vertices are the edge midpoints; ``h`` halves exactly and every
     boundary edge splits into two children that inherit the parent polygon
     edge (and hence its normal).  Old vertices keep their numbers, so vertex
-    0 stays the origin and the boundary chain still starts there.  The edge
-    numbering is carried over from the parent's (:func:`_carried_numbering`)
-    and keeps its lexicographic order.  The refined chain is set at once,
-    the volume tables from the parent's on first read.
+    0 stays the origin and the boundary chain still starts there.  The
+    refined chain and counts are set at once, the volume tables from the
+    parent's on first read, where the edges are numbered by the same sort as
+    a mesh built from arrays and must come to the announced ``n_edges``.
     """
     fine = Mesh.__new__(Mesh)
     fine._set_chain(mesh.polygon, _bisected(mesh.boundary_points),
@@ -377,66 +382,31 @@ def _bisected(points):
 
 
 def _red_refinement(mesh):
-    """``(vertices, triangles, boundary_edges, numbering)`` of the red
-    refinement of ``mesh``."""
+    """``(vertices, triangles, boundary_edges)`` of the red refinement of
+    ``mesh``."""
     nv = mesh.n_vertices
     v, edges = mesh.vertices, mesh.edges
     midpoints = 0.5 * (v.take(edges[:, 0], axis=0)
                        + v.take(edges[:, 1], axis=0))
     vertices = np.vstack([v, midpoints])
-    mid = nv + mesh.triangle_edges  # the midpoint of each local edge
-    children = _red_children(mesh.triangles, mid, np.roll(mid, 1, axis=1),
-                             mid)
+    children = _red_children(mesh.triangles, nv + mesh.triangle_edges)
 
     # split boundary edges in traversal order so the chain stays closed
     a, b = mesh.boundary_edges.T
     m = nv + mesh.boundary_edge_ids
     bnd = np.column_stack([a, m, m, b]).reshape(-1, 2)
-    return vertices, children, bnd, _carried_numbering(mesh, mid)
+    return vertices, children, bnd
 
 
-def _red_children(corner, after, before, middle):
-    """(4 nt, 3) array of the four children of each of nt triangles: child
-    i < 3 holds ``corner[:, i]`` at local position i, ``after[:, i]`` at
-    i + 1 and ``before[:, i]`` at i - 1; child 3 holds ``middle``."""
-    out = np.empty((4,) + middle.shape, dtype=np.int64)
+def _red_children(triangles, mid):
+    """(4 nt, 3) array of the four children of each of nt triangles whose
+    local edge k has its midpoint ``mid[:, k]``: child i < 3 holds corner i
+    at local position i, between the midpoints of its edges there; child 3
+    holds the midpoints."""
+    out = np.empty((4,) + mid.shape, dtype=np.int64)
     for i in range(3):
-        out[i, :, i] = corner[:, i]
-        out[i, :, (i + 1) % 3] = after[:, i]
-        out[i, :, i - 1] = before[:, i]
-    out[3] = middle
+        out[i, :, i] = triangles[:, i]
+        out[i, :, (i + 1) % 3] = mid[:, i]
+        out[i, :, i - 1] = mid[:, i - 1]
+    out[3] = mid
     return out.reshape(-1, 3)
-
-
-def _carried_numbering(mesh, mid):
-    """``(edges, triangle_edges, boundary_edge_ids)`` of the refined mesh by
-    one argsort of its 2 ne + 3 nt edges, the halves of the parent edges and
-    those between each parent triangle's midpoints ``mid``."""
-    nv, nt, ne = mesh.n_vertices, mesh.n_triangles, mesh.n_edges
-    # ids before the sort: 2 e and 2 e + 1 for the halves of parent edge
-    # e = (a, b) at a and at b, then 2 ne + 3 t + k for the edge of parent
-    # triangle t from midpoint k to midpoint k + 1
-    mid_next = np.roll(mid, -1, axis=1)
-    low = np.concatenate([mesh.edges.ravel(),
-                          np.minimum(mid, mid_next).ravel()])
-    high = np.concatenate([np.repeat(np.arange(nv, nv + ne), 2),
-                           np.maximum(mid, mid_next).ravel()])
-    order = np.argsort(low * (nv + ne) + high)
-    edges = np.column_stack([low[order], high[order]])
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    del low, high, order  # held through the fill, they set the peak memory
-
-    # parent local edge k runs from vertex k, its high end when vertex k >
-    # vertex k + 1; child local edge j runs from child vertex j to j + 1
-    down = mesh.triangles > np.roll(mesh.triangles, -1, axis=1)
-    start = rank[2 * mesh.triangle_edges + down]
-    end = rank[2 * mesh.triangle_edges + ~down]
-    inner = rank[2 * ne:].reshape(nt, 3)
-    triangle_edges = _red_children(start, np.roll(inner, 1, axis=1),
-                                   np.roll(end, 1, axis=1), inner)
-    # boundary edge (p, q) splits into its halves at p and at q
-    down = np.greater(*mesh.boundary_edges.T)
-    e = 2 * mesh.boundary_edge_ids
-    return (edges, triangle_edges,
-            rank[np.column_stack([e + down, e + ~down]).ravel()])

@@ -395,16 +395,14 @@ def test_refine_counts(domain):
     assert fine.h == pytest.approx(domain.h / 2, rel=1e-15)
 
 
-def test_refinement_carries_the_edge_numbering_forward(domain, monkeypatch):
-    mesh = refine_uniform(domain)
-
-    def number_edges(*args):
-        raise AssertionError("refine_uniform numbered the edges by a sort")
-
-    monkeypatch.setattr(mesh_module, "_number_edges", number_edges)
-    fine = refine_uniform(refine_uniform(mesh))
-    assert fine.n_triangles == 64 * domain.n_triangles
-    assert len(fine.edges) == fine.n_edges  # builds the tables
+@pytest.mark.parametrize("error", [-1, 1])
+def test_first_read_checks_the_announced_edge_count(domain, error):
+    # a DofMap is sized by n_edges before the volume exists, so the build
+    # must not disagree with it
+    fine = refine_uniform(refine_uniform(domain))
+    fine.n_edges += error
+    with pytest.raises(ValueError, match="announced"):
+        fine.edges
 
 
 def test_refine_twice_topology(domain):

@@ -180,16 +180,24 @@ def relabelled(mesh, seed):
 @PROPERTY
 @given(name=st.sampled_from(["convex", "nonconvex", "unit_square"]),
        level=st.integers(0, 4), seed=seeds)
-def test_refinement_numbers_edges_as_a_rebuilt_mesh(name, level, seed):
+def test_refinement_numbers_edges_lexicographically(name, level, seed):
     mesh = unit_square() if name == "unit_square" else build_domain(name)
     for _ in range(level):
         mesh = refine_uniform(mesh)
     fine = refine_uniform(relabelled(mesh, seed))
-    rebuilt = Mesh(fine.polygon, fine.vertices, fine.triangles,
-                   fine.boundary_edges, fine.boundary_parent)
-    for attr in ("edges", "triangle_edges", "boundary_edge_ids"):
-        got, want = getattr(fine, attr), getattr(rebuilt, attr)
-        assert got.dtype == want.dtype
+    # the numbering from its definition: every edge once as (low, high),
+    # in lexicographic order
+    local = [tuple(sorted((t[k], t[(k + 1) % 3])))
+             for t in fine.triangles.tolist() for k in range(3)]
+    edges = sorted(set(local))
+    ids = {e: i for i, e in enumerate(edges)}
+    for attr, want in (
+            ("edges", edges),
+            ("triangle_edges", np.reshape([ids[e] for e in local], (-1, 3))),
+            ("boundary_edge_ids", [ids[tuple(sorted(e))]
+                                   for e in fine.boundary_edges.tolist()])):
+        got = getattr(fine, attr)
+        assert got.dtype == np.int64
         assert np.array_equal(got, want), attr
 
 
@@ -379,6 +387,42 @@ def test_element_maps_rotate_with_the_mesh(domain, level, pairing, angle):
     # the divergence blocks hold int q_i d_c phi_j: c runs over components
     np.testing.assert_allclose(dturn, np.einsum("cd,tdij->tcij", rot, dloc),
                                rtol=0, atol=1e-12 * np.abs(dloc).max())
+
+
+# the turned sums differ from the unturned ones by rounding only, which
+# the cancellation in y_h - y magnifies to at most about 1e-13 relative
+ROTATION_RTOL = 1e-12
+
+
+@PROPERTY
+@given(domain=domains, level=levels, pairing=pairings,
+       alpha=st.floats(0.05, 0.95), angle=st.floats(0.0, 2 * np.pi))
+def test_error_norms_rotate_with_the_fields(domain, level, pairing, alpha,
+                                            angle):
+    # Polygon fixes edge 0 along +x, so the fields turn with the points,
+    # not the mesh: on the domain turned by R the velocity coefficients and
+    # the exact velocity are R y, the element maps R J, and the exact
+    # gradient R G R^T, and the error sums stay the same
+    mesh = refined(domain, level)
+    dm = build_dofmap(mesh, pairing)
+    sol = SingularSolution(alpha, mesh.polygon.corner_angle)
+    u_h = project_l2(trace_of_solution(mesh.polygon, sol), mesh, dm)
+    y_h, _ = solve(assemble_bordered_system(mesh, dm, u_h))
+    cos, sin = np.cos(angle), np.sin(angle)
+    rot = np.array([[cos, -sin], [sin, cos]])
+    for b in ErrorQuadrature(mesh, dm, sol).batches:
+        coef = y_h.velocity.take(b.cell_velocity, axis=0)
+        velocity, gradient = b.exact["velocity"], b.exact["gradient"]
+        l2 = _kernels.l2_accumulate(coef, b.vals_v, b.weights, velocity)
+        h1 = _kernels.h1_accumulate(coef, b.grads_v, b.invjt, b.weights,
+                                    gradient)
+        l2_turned = _kernels.l2_accumulate(coef @ rot.T, b.vals_v, b.weights,
+                                           velocity @ rot.T)
+        h1_turned = _kernels.h1_accumulate(coef @ rot.T, b.grads_v,
+                                           rot @ b.invjt, b.weights,
+                                           rot @ gradient @ rot.T)
+        assert abs(l2_turned - l2) <= ROTATION_RTOL * l2
+        assert abs(h1_turned - h1) <= ROTATION_RTOL * h1
 
 
 @PROPERTY
