@@ -19,10 +19,12 @@ which restores <u_h, n> = 0 without degrading the approximation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.special import roots_jacobi
 
 from .assembly import (_trace_coefficients, assemble_boundary_mass,
                        boundary_flux, edge_integrals)
@@ -43,12 +45,8 @@ __all__ = [
     "trace_l2_distance",
 ]
 
-# data-side quadrature: Gauss points per (sub)segment and the number of
-# dyadic subdivision levels toward the singular corner; generous defaults
-# keep the data-approximation quadrature error far below discretization error
 GAUSS_POINTS = 16
-CORNER_LEVELS = 12
-# the GAUSS_POINTS-point Gauss-Legendre rule on [0, 1], shared, read-only
+# the Gauss-Legendre rule on [0, 1] of a boundary-rule segment, read-only
 _nodes, _weights = np.polynomial.legendre.leggauss(GAUSS_POINTS)
 GAUSS_NODES, GAUSS_WEIGHTS = 0.5 * (_nodes + 1.0), 0.5 * _weights
 GAUSS_NODES.setflags(write=False)
@@ -63,13 +61,20 @@ class BoundaryDatum:
     ``evaluate(edge, s)`` returns the 2-vector value at arclength ``s``
     (vectorized over ``s``) measured from the start vertex of polygon edge
     ``edge``.  ``jumps`` lists known interior discontinuities as (edge,
-    arclength) pairs so integration can split there.  Every datum is
-    integrated with the rule graded into the origin corner, where the study
-    data are singular.
+    arclength) pairs so integration can split there.  A ``corner_exponent``
+    ``a`` declares a datum that is ``s^a`` times a smooth function on the
+    two edges at the origin, ``s`` the distance from it; it must be finite
+    and exceed -1, where the corner integrals diverge.
     """
 
     evaluate: Callable[[int, np.ndarray], np.ndarray]
     jumps: Sequence = field(default_factory=tuple)
+    corner_exponent: float | None = None
+
+    def __post_init__(self):
+        if not (self.corner_exponent is None
+                or -1.0 < self.corner_exponent < np.inf):
+            raise ValueError("corner exponent must be finite and exceed -1")
 
 
 @dataclass
@@ -101,7 +106,8 @@ def trace_of_solution(polygon, sol: SingularSolution) -> BoundaryDatum:
 
     On the two edges meeting the corner the trace is evaluated in exact polar
     coordinates (arclength is the radius there); reconstructing the angle
-    from Cartesian points would lose every digit as r -> 0.
+    from Cartesian points would lose every digit as r -> 0.  There it is
+    ``s^alpha`` times a constant vector, so ``alpha`` is its corner exponent.
     """
     last = polygon.n_edges - 1
     last_len = polygon.edge_lengths[last]
@@ -114,45 +120,60 @@ def trace_of_solution(polygon, sol: SingularSolution) -> BoundaryDatum:
             return velocity_from_polar(sol, np.abs(last_len - s), sol.omega)
         return eval_velocity(sol, polygon.point_on_edge(edge, s))
 
-    return BoundaryDatum(evaluate=evaluate)
+    return BoundaryDatum(evaluate=evaluate, corner_exponent=sol.alpha)
 
 
-def _boundary_rule(mesh: Mesh, datum: BoundaryDatum):
-    """Composite Gauss rule on the whole boundary, as flat arrays.
+@lru_cache(maxsize=64)
+def _corner_rule(exponent: float):
+    """Read-only nodes and weights on [0, 1] of the Gauss-Jacobi rule of
+    weight ``t^exponent``, with that weight divided out of the weights."""
+    x, w = roots_jacobi(GAUSS_POINTS, 0.0, exponent)
+    nodes = 0.5 * (x + 1.0)
+    rule = nodes, w * 0.5 ** (exponent + 1.0) / nodes ** exponent
+    for part in rule:
+        part.setflags(write=False)
+    return rule
 
-    Returns ``(edge, t, w)``: the boundary edge of each point, its parameter
-    ``t`` in [0, 1] along that edge and its arclength weight.  Boundary
-    edges are cut at the declared jump points and into ``CORNER_LEVELS``
-    dyadic layers on the two edges at the origin, the first and the last
-    (see :class:`~stokesbc.mesh.Mesh`), for every datum: the layers resolve
-    the corner singularity of the study data and cost a smooth datum only
-    extra points.  Every segment gets ``GAUSS_POINTS`` points.
-    """
+
+def _segments(mesh: Mesh, jumps):
+    """Boundary edge, start and width (arclength) of each rule segment: the
+    boundary edges in chain order, cut at the declared jump points."""
     lengths, offsets = mesh.boundary_lengths, mesh.boundary_offsets
     parents = mesh.boundary_parent
     every = np.arange(mesh.n_boundary_edges)
     # cuts as (boundary edge, arclength from the edge start)
     cut_edge, cut_at = [every, every], [np.zeros(len(every)), lengths]
-    for je, js in datum.jumps:
+    for je, js in jumps:
         local = js - offsets
         on = ((parents == je) & (local > 1e-14 * lengths)
               & (local < lengths * (1 - 1e-14)))
         cut_edge.append(every[on])
         cut_at.append(local[on])
-    # boundary edge 0 starts at the origin and the last one ends there
-    dyadic = 0.5 ** np.arange(1, CORNER_LEVELS + 1)
-    cut_edge.append(np.repeat(every[[0, -1]], CORNER_LEVELS))
-    cut_at.append(np.concatenate([lengths[0] * dyadic,
-                                  lengths[-1] * (1.0 - dyadic)]))
     cut_edge, cut_at = np.concatenate(cut_edge), np.concatenate(cut_at)
     order = np.lexsort((cut_at, cut_edge))
     cut_edge, cut_at = cut_edge[order], cut_at[order]
     # consecutive distinct cuts on one edge bound a segment
     seg = (cut_edge[1:] == cut_edge[:-1]) & (cut_at[1:] > cut_at[:-1])
-    start, width = cut_at[:-1][seg], np.diff(cut_at)[seg]
-    edge = np.repeat(cut_edge[:-1][seg], GAUSS_POINTS)
-    s = (start[:, None] + width[:, None] * GAUSS_NODES).ravel()
-    return edge, s / lengths[edge], (width[:, None] * GAUSS_WEIGHTS).ravel()
+    return cut_edge[:-1][seg], cut_at[:-1][seg], np.diff(cut_at)[seg]
+
+
+def _boundary_rule(mesh: Mesh, segments, exponent):
+    """Gauss rule on each of the :func:`_segments` ``segments``, as ``(edge,
+    t, w)``: each point's boundary edge, parameter in [0, 1] and arclength
+    weight.  For an ``exponent`` the first segment, which starts at the
+    origin, and the last, which ends there, take ``_corner_rule(exponent)``
+    toward it."""
+    edge, start, width = segments
+    nodes = np.tile(GAUSS_NODES, (len(edge), 1))
+    weights = np.tile(GAUSS_WEIGHTS, (len(edge), 1))
+    if exponent is not None:
+        corner, corner_weights = _corner_rule(exponent)
+        nodes[[0, -1]] = corner, 1.0 - corner
+        weights[[0, -1]] = corner_weights
+    edge = np.repeat(edge, GAUSS_POINTS)
+    s = (start[:, None] + width[:, None] * nodes).ravel()
+    return (edge, s / mesh.boundary_lengths[edge],
+            (width[:, None] * weights).ravel())
 
 
 def _datum_values(datum: BoundaryDatum, mesh: Mesh, edge, t):
@@ -176,11 +197,12 @@ def _edge_moments(mesh: Mesh, dofmap: DofMap, datum: BoundaryDatum):
 
     Returns an (nbd, 2) array, integrated by :func:`_boundary_rule`.
     """
-    edge, t, w = _boundary_rule(mesh, datum)
+    edge, t, w = _boundary_rule(mesh, _segments(mesh, datum.jumps),
+                                datum.corner_exponent)
     vals = _datum_values(datum, mesh, edge, t)
     weighted = w[:, None] * edge_trace_values(dofmap.pairing, t)
     # a.take(rows, axis=0) gathers the same rows as a[rows], 3.5 to 18 times
-    # faster on the level-8 L-shape's 33,152 rule points (numpy 2.4)
+    # faster on the level-8 L-shape's ~33,000 rule points (numpy 2.4)
     rows = dofmap.boundary_edge_positions.take(edge, axis=0).ravel()
     return np.column_stack([
         np.bincount(rows, (weighted * vals[:, None, c]).ravel(),
@@ -284,20 +306,50 @@ def build_corrector(kind: str, mesh: Mesh,
 
 
 def datum_flux(u: BoundaryDatum, mesh: Mesh) -> float:
-    """Boundary flux <u, n> of the datum itself, by composite quadrature."""
-    edge, t, w = _boundary_rule(mesh, u)
+    """Boundary flux <u, n> of the datum itself, by :func:`_boundary_rule`."""
+    edge, t, w = _boundary_rule(mesh, _segments(mesh, u.jumps),
+                                u.corner_exponent)
     vals = _datum_values(u, mesh, edge, t)
     normals = mesh.boundary_normals.take(edge, axis=0)
     return float(w @ np.einsum("gc,gc->g", vals, normals))
 
 
+def _trace_values(coef, dofmap: DofMap, edge, t):
+    """The trace with coefficients ``coef`` at ``t`` of boundary edges
+    ``edge``."""
+    rows = dofmap.boundary_edge_positions.take(edge, axis=0)
+    return np.einsum("gi,gic->gc", edge_trace_values(dofmap.pairing, t),
+                     coef.take(rows, axis=0))
+
+
 def trace_l2_distance(u: BoundaryDatum, u_h: BoundaryTrace, mesh: Mesh,
                       dofmap: DofMap) -> float:
-    """L2(boundary) distance between a datum and a discrete trace."""
+    """L2(boundary) distance between a datum and a discrete trace.
+
+    ``inf`` for a corner exponent ``a <= -1/2``, where the datum leaves L2.
+    Otherwise the two corner segments integrate ``|u|^2``, ``-2 u.u_h`` and
+    ``|u_h|^2`` by the rules exact for ``s^(2a)``, ``s^a`` and polynomials;
+    every other segment integrates ``|u - u_h|^2``, which does not cancel.
+    Where u_h is close to u on a corner segment the three terms cancel, so
+    the squared distance carries a roundoff of about ``eps ||u||^2`` there.
+    """
     coef = _trace_coefficients(u_h, dofmap)
-    edge, t, w = _boundary_rule(mesh, u)
-    rows = dofmap.boundary_edge_positions.take(edge, axis=0)
-    approx = np.einsum("gi,gic->gc", edge_trace_values(dofmap.pairing, t),
-                       coef.take(rows, axis=0))
-    diff = _datum_values(u, mesh, edge, t) - approx
-    return float(np.sqrt(w @ (diff * diff).sum(axis=1)))
+    a = u.corner_exponent
+    if a is not None and a <= -0.5:
+        return np.inf
+    segments = _segments(mesh, u.jumps)
+    edge, t, w = _boundary_rule(mesh, segments, a)
+    vals = _datum_values(u, mesh, edge, t)
+    approx = _trace_values(coef, dofmap, edge, t)
+    square = ((vals - approx) ** 2).sum(axis=1)
+    if a is None:
+        return float(np.sqrt(w @ square))
+    ends = np.r_[:GAUSS_POINTS, -GAUSS_POINTS:0]
+    square[ends] = -2.0 * (vals[ends] * approx[ends]).sum(axis=1)
+    corners = [part[[0, -1]] for part in segments]
+    edge, t, w_u = _boundary_rule(mesh, corners, 2.0 * a)
+    square_u = w_u @ (_datum_values(u, mesh, edge, t) ** 2).sum(axis=1)
+    edge, t, w_h = _boundary_rule(mesh, corners, None)
+    square_h = w_h @ (_trace_values(coef, dofmap, edge, t) ** 2).sum(axis=1)
+    # that roundoff has either sign, also where u_h reproduces u
+    return float(np.sqrt(max(w @ square + square_u + square_h, 0.0)))

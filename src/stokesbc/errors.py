@@ -243,7 +243,8 @@ def expected_order(alpha_sing: float, omega: float, k: int) -> float:
 
     The shift exponent is s = 1 on convex corners and the reentrant-corner
     exponent xi(omega) otherwise; measured orders approach the value from
-    below as t -> 1/2 + alpha.
+    below as t -> 1/2 + alpha.  For alpha <= -1/2 the datum is not in
+    L2(Gamma), and the value is the same formula applied outside that range.
     """
     s = 1.0 if omega <= np.pi else solve_xi(omega)
     return s + min(alpha_sing, float(k))

@@ -1,15 +1,18 @@
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from stokesbc import boundary_data
 from stokesbc.assembly import boundary_flux, compute_delta_h
-from stokesbc.boundary_data import (CORNER_LEVELS, GAUSS_NODES,
+from stokesbc.boundary_data import (GAUSS_NODES,
                                     GAUSS_POINTS, GAUSS_WEIGHTS,
                                     BoundaryDatum, BoundaryTrace,
-                                    _boundary_rule, _datum_values,
+                                    _boundary_rule, _corner_rule,
+                                    _datum_values, _segments,
                                     build_corrector,
                                     datum_flux,
                                     enforce_compatibility,
@@ -18,9 +21,10 @@ from stokesbc.boundary_data import (CORNER_LEVELS, GAUSS_NODES,
                                     trace_l2_distance, trace_of_solution)
 from stokesbc.cli import counterexample_datum
 from stokesbc.errors import eoc
-from stokesbc.fe_spaces import (MINI, TAYLOR_HOOD, DofMap, build_dofmap,
-                                edge_trace_nodes)
-from stokesbc.manufactured import SingularSolution
+from stokesbc.fe_spaces import (EDGE_TRACE_GRAM, MINI, TAYLOR_HOOD, DofMap,
+                                build_dofmap, edge_trace_nodes,
+                                edge_trace_values)
+from stokesbc.manufactured import SingularSolution, velocity_from_polar
 from stokesbc.mesh import build_domain, refine_uniform, unit_square
 
 
@@ -58,51 +62,112 @@ def test_gauss_rule_is_read_only_unit_leggauss():
     assert np.array_equal(GAUSS_WEIGHTS, 0.5 * ref_w)
 
 
-def geometric_boundary_rule(mesh, datum):
-    """The composite boundary rule with its corner edges found by geometry:
-    the boundary edges whose arclength offsets put them at the origin."""
-    lengths = mesh.boundary_lengths
-    offsets = mesh.boundary_offsets
-    parents = mesh.boundary_parent
-    every = np.arange(mesh.n_boundary_edges)
-    cut_edge, cut_at = [every, every], [np.zeros(len(every)), lengths]
-    for je, js in datum.jumps:
-        local = js - offsets
-        on = ((parents == je) & (local > 1e-14 * lengths)
-              & (local < lengths * (1 - 1e-14)))
-        cut_edge.append(every[on])
-        cut_at.append(local[on])
-    last = mesh.polygon.n_edges - 1
-    ends_at_origin = np.abs(offsets + lengths
-                            - mesh.polygon.edge_lengths[last]) < 1e-12
-    dyadic = 0.5 ** np.arange(1, CORNER_LEVELS + 1)
-    for on, layers in (((parents == 0) & (offsets < 1e-14), dyadic),
-                       ((parents == last) & ends_at_origin, 1.0 - dyadic)):
-        cut_edge.append(np.repeat(every[on], CORNER_LEVELS))
-        cut_at.append(np.outer(lengths[on], layers).ravel())
-    cut_edge, cut_at = np.concatenate(cut_edge), np.concatenate(cut_at)
-    order = np.lexsort((cut_at, cut_edge))
-    cut_edge, cut_at = cut_edge[order], cut_at[order]
-    seg = (cut_edge[1:] == cut_edge[:-1]) & (cut_at[1:] > cut_at[:-1])
-    start, width = cut_at[:-1][seg], np.diff(cut_at)[seg]
-    edge = np.repeat(cut_edge[:-1][seg], GAUSS_POINTS)
-    s = (start[:, None] + width[:, None] * GAUSS_NODES).ravel()
-    return edge, s / lengths[edge], (width[:, None] * GAUSS_WEIGHTS).ravel()
+@pytest.mark.parametrize("exponent", [np.nan, np.inf, -np.inf, -1.0, -1.5])
+def test_corner_exponent_must_be_finite_and_exceed_minus_one(exponent):
+    # at -1 and below the corner integrals diverge, and so does the rule
+    with pytest.raises(ValueError, match="corner exponent"):
+        BoundaryDatum(lambda edge, s: np.zeros((len(s), 2)),
+                      corner_exponent=exponent)
 
 
+@pytest.mark.parametrize("jumps", [False, True])
 @pytest.mark.parametrize("level", range(5))
 @pytest.mark.parametrize("name", ["convex", "nonconvex", "unit_square"])
-def test_boundary_rule_matches_the_geometric_corner_search(name, level):
+def test_corner_rule_sits_on_the_two_corner_segments(name, level, jumps):
+    """With a corner exponent the first segment of boundary edge 0 and the
+    last of the last boundary edge integrate ``r^a`` times a polynomial
+    exactly, ``r`` the distance from the origin; every other segment keeps
+    the Gauss rule.  A declared jump inside either corner boundary edge
+    shortens its corner segment."""
     mesh = unit_square() if name == "unit_square" else build_domain(name)
     for _ in range(level):
         mesh = refine_uniform(mesh)
-    datum = (counterexample_datum() if name == "unit_square" else
-             trace_of_solution(mesh.polygon, SingularSolution(
-                 0.37, mesh.polygon.corner_angle)))
-    for got, want in zip(_boundary_rule(mesh, datum),
-                         geometric_boundary_rule(mesh, datum)):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    a, n = 0.37, GAUSS_POINTS
+    first, last = mesh.boundary_lengths[[0, -1]]
+    cut = ((0, 0.37 * first),
+           (mesh.polygon.n_edges - 1, mesh.boundary_offsets[-1] + 0.61 * last))
+    datum = BoundaryDatum(lambda edge, s: np.zeros((len(s), 2)),
+                          jumps=cut if jumps else (), corner_exponent=a)
+    assert not any(part.flags.writeable for part in _corner_rule(a))
+    segments = _segments(mesh, datum.jumps)
+    edge, t, w = _boundary_rule(mesh, segments, a)
+    for got, plain in zip((edge, t, w), _boundary_rule(mesh, segments, None)):
+        assert np.array_equal(got[n:-n], plain[n:-n])
+    assert np.all(edge[:n] == 0)
+    assert np.all(edge[-n:] == mesh.n_boundary_edges - 1)
+    width = (0.37 * first, 0.39 * last) if jumps else (first, last)
+    for r, weights, h in ((t[:n] * first, w[:n], width[0]),
+                          ((1.0 - t[-n:]) * last, w[-n:], width[1])):
+        assert np.all((r > 0) & (r < h))
+        for k in range(4):
+            assert weights @ r ** (a + k) == pytest.approx(
+                h ** (a + k + 1) / (a + k + 1), rel=1e-13)
+
+
+def basis_moments(pairing, a):
+    """int_0^1 t^a phi_i(t) dt of the trace basis, in trace order."""
+    if pairing.kind == "mini":
+        return [1 / (a + 1) - 1 / (a + 2),               # 1 - t
+                1 / (a + 2)]                             # t
+    return [1 / (a + 1) - 3 / (a + 2) + 2 / (a + 3),     # (1 - t)(1 - 2t)
+            4 / (a + 2) - 4 / (a + 3),                   # 4 t (1 - t)
+            2 / (a + 3) - 1 / (a + 2)]                   # t (2t - 1)
+
+
+def corner_power_datum(polygon, a, c_first, c_last):
+    """``r^a c_first`` on polygon edge 0 and ``r^a c_last`` on the last
+    edge, ``r`` the distance from the origin; zero on the other edges."""
+    last = polygon.n_edges - 1
+
+    def evaluate(edge, s):
+        s = np.asarray(s, dtype=float)
+        if edge == 0:
+            return np.outer(s ** a, c_first)
+        if edge == last:
+            return np.outer((polygon.edge_lengths[last] - s) ** a, c_last)
+        return np.zeros((len(s), 2))
+
+    return BoundaryDatum(evaluate, corner_exponent=a)
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.7, -0.499, -0.25, 0.5, 1.3])
+@pytest.mark.parametrize("name", ["convex", "nonconvex"])
+def test_corner_moments_and_flux_match_their_closed_forms(name, alpha):
+    """The study datum is ``r^alpha c`` on each corner edge, ``r`` the
+    distance from the origin, so the moments of the dofs no other edge
+    touches are ``c W^(alpha+1) int_0^1 t^alpha phi(t) dt`` (the basis is
+    symmetric, so the last edge's mirrored basis has the same moments).
+    The study datum is tangential there, so the flux is checked on
+    ``r^alpha c`` with ``c.n != 0`` on both corner polygon edges:
+    ``c.n P^(alpha+1) / (alpha+1)`` on each."""
+    mesh = build_domain(name)
+    polygon = mesh.polygon
+    sol = SingularSolution(alpha, polygon.corner_angle)
+    datum = trace_of_solution(polygon, sol)
+    c = [velocity_from_polar(sol, 1.0, theta)[0]
+         for theta in (0.0, sol.omega)]
+    crossing = np.array([[0.8, -1.3], [-0.4, 0.9]])
+    flux = sum(ci @ n * p ** (alpha + 1) / (alpha + 1) for ci, n, p in
+               zip(crossing, mesh.boundary_normals[[0, -1]],
+                   polygon.edge_lengths[[0, -1]]))
+    crossing_datum = corner_power_datum(polygon, alpha, *crossing)
+    for _ in range(7):
+        got = datum_flux(crossing_datum, mesh)
+        assert abs(got - flux) <= 1e-11 * abs(flux)
+        w0, w1 = mesh.boundary_lengths[[0, -1]] ** (alpha + 1)
+        for pairing in (TAYLOR_HOOD, MINI):
+            dm = build_dofmap(mesh, pairing)
+            moments = boundary_data._edge_moments(mesh, dm, datum)
+            origin, mid = basis_moments(pairing, alpha)[:2]
+            positions = dm.boundary_edge_positions
+            want = [(positions[0, 0], (w0 * c[0] + w1 * c[1]) * origin)]
+            if pairing.kind == "taylor_hood":
+                want += [(positions[0, 1], w0 * c[0] * mid),
+                         (positions[-1, 1], w1 * c[1] * mid)]
+            for dof, value in want:
+                assert np.abs(moments[dof] - value).max() <= \
+                    1e-11 * np.abs(value).max()
+        mesh = refine_uniform(mesh)
 
 
 def masked_datum_values(datum, mesh, edge, t):
@@ -120,7 +185,8 @@ def masked_datum_values(datum, mesh, edge, t):
 def point_sets(mesh, datum):
     """The rule points and the Lagrange nodes of both pairings, as
     (edge, t) pairs."""
-    yield _boundary_rule(mesh, datum)[:2]
+    yield _boundary_rule(mesh, _segments(mesh, datum.jumps),
+                         datum.corner_exponent)[:2]
     for pairing in (TAYLOR_HOOD, MINI):
         starts = edge_trace_nodes(pairing)[:-1]
         yield (np.repeat(np.arange(mesh.n_boundary_edges), len(starts)),
@@ -522,6 +588,101 @@ def test_modified_vs_plain_error_ratio_bounded():
             plain = trace_l2_distance(datum, u_h, mesh, dm)
             modified = trace_l2_distance(datum, fixed, mesh, dm)
             assert modified / plain <= 3.0
+
+
+# --- trace distance ---------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [-0.7, -0.5])
+def test_distance_is_infinite_where_the_datum_leaves_l2(alpha):
+    mesh = refine_uniform(build_domain("nonconvex"))
+    datum = trace_of_solution(mesh.polygon,
+                              SingularSolution(alpha, 3 * np.pi / 2))
+    for pairing in (TAYLOR_HOOD, MINI):
+        dm = build_dofmap(mesh, pairing)
+        u_h = project_l2(datum, mesh, dm)
+        assert trace_l2_distance(datum, u_h, mesh, dm) == np.inf
+
+
+@pytest.mark.parametrize("a", [-0.45, -0.25, 0.5, 0.95, 1.3])
+@pytest.mark.parametrize("name", ["convex", "nonconvex"])
+def test_distance_matches_its_closed_form(name, a):
+    """``||s^a c - u_h||^2`` for random traces ``u_h``, edge by edge.
+    ``|u_h|^2`` integrates by the Gram matrix of the trace basis.  On the
+    corner edge of width ``W`` the rest is ``|c|^2 W^(2a+1) / (2a+1) -
+    2 W^(a+1) sum_i (c.c_i) int_0^1 t^a phi_i``; on the other edges of
+    polygon edge 0, ``|u|^2`` is a difference of powers and ``u.u_h`` is
+    integrated by ``quad``."""
+    rng = np.random.default_rng(7)
+    c = np.array([0.8, -1.3])
+    mesh = build_domain(name)
+    datum = corner_power_datum(mesh.polygon, a, c, np.zeros(2))
+    for level in range(3):
+        for pairing in (TAYLOR_HOOD, MINI):
+            dm = build_dofmap(mesh, pairing)
+            coef = rng.standard_normal((dm.n_boundary_dofs, 2))
+            gram = EDGE_TRACE_GRAM[pairing.kind]
+            want = 0.0
+            for e, rows in enumerate(dm.boundary_edge_positions):
+                local, width = coef[rows] @ c, mesh.boundary_lengths[e]
+                want += width * np.einsum("ic,ij,jc->", coef[rows], gram,
+                                          coef[rows])
+                start = mesh.boundary_offsets[e]
+                if mesh.boundary_parent[e] != 0:
+                    continue
+                if e == 0:
+                    want += (c @ c * width ** (2 * a + 1) / (2 * a + 1)
+                             - 2 * width ** (a + 1)
+                             * local @ basis_moments(pairing, a))
+                    continue
+                want += c @ c * ((start + width) ** (2 * a + 1)
+                                 - start ** (2 * a + 1)) / (2 * a + 1)
+                cross = quad(lambda s: s ** a * edge_trace_values(
+                    pairing, (s - start) / width) @ local,
+                    start, start + width, epsabs=0.0, epsrel=1e-12)[0]
+                want -= 2.0 * cross
+            got = trace_l2_distance(datum, BoundaryTrace(coef), mesh, dm)
+            assert got == pytest.approx(np.sqrt(want), rel=1e-12)
+        mesh = refine_uniform(mesh)
+
+
+@pytest.mark.parametrize("name", ["convex", "nonconvex"])
+def test_distance_of_a_reproduced_datum_is_zero_to_roundoff(name):
+    """At ``alpha = 1`` the study datum is linear, so both trace spaces
+    reproduce it; the corner terms then cancel to a roundoff of either
+    sign, and a negative one must not turn the distance into NaN."""
+    mesh = refine_uniform(build_domain(name))
+    datum = trace_of_solution(mesh.polygon, SingularSolution(
+        1.0, mesh.polygon.corner_angle))
+    for pairing in (TAYLOR_HOOD, MINI):
+        dm = build_dofmap(mesh, pairing)
+        for project in (project_l2, interpolate_lagrange):
+            distance = trace_l2_distance(datum, project(datum, mesh, dm),
+                                         mesh, dm)
+            assert 0.0 <= distance < 1e-7
+
+
+@pytest.mark.parametrize("name", ["convex", "nonconvex"])
+def test_a_distance_evaluates_the_datum_at_its_rule_and_the_corners(name):
+    """One distance evaluates the datum at the rule's points and at the
+    ``2 GAUSS_POINTS`` points of the ``s^(2a)`` rule on the two corner
+    segments, and nowhere else."""
+    mesh = refine_uniform(refine_uniform(build_domain(name)))
+    datum = trace_of_solution(mesh.polygon, SingularSolution(
+        0.3, mesh.polygon.corner_angle))
+    points = []
+
+    def evaluate(edge, s):
+        points.append(len(s))
+        return datum.evaluate(edge, s)
+
+    counted = dataclasses.replace(datum, evaluate=evaluate)
+    rule = len(_boundary_rule(mesh, _segments(mesh, ()), 0.3)[1])
+    for pairing in (TAYLOR_HOOD, MINI):
+        dm = build_dofmap(mesh, pairing)
+        u_h = project_l2(datum, mesh, dm)
+        points.clear()
+        trace_l2_distance(counted, u_h, mesh, dm)
+        assert sum(points) <= rule + 2 * GAUSS_POINTS
 
 
 TRACE_STUDY = Path(__file__).parent / "data" / "trace_study_lshape.txt"
